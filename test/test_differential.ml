@@ -115,10 +115,30 @@ let test_certified_ii_fixture () =
             m.Iced_mapper.Mapping.ii))
     rows
 
+(* test/golden/stream_golden.txt pins every window report and fault
+   statistic of solo, resilient and shared streaming runs plus the
+   tenancy scheduler's JSON (see Iced_testgen.Stream_gen for the cases),
+   captured before the solo and shared window loops were merged into one
+   step and island recovery into one module.  The runtime must reproduce
+   every line byte for byte. *)
+let stream_golden_path = "golden/stream_golden.txt"
+
+let test_stream_unchanged () =
+  let expected = read_lines stream_golden_path in
+  let actual = Iced_testgen.Stream_gen.golden_lines () in
+  Alcotest.(check int) "stream golden size" (List.length expected) (List.length actual);
+  List.iter2
+    (fun e a ->
+      if not (String.equal e a) then
+        Alcotest.failf "streaming drifted for %s\n  golden: %s\n  now:    %s"
+          (case_name e) e a)
+    expected actual
+
 let suite =
   [
     ("golden corpus has no FAIL cases", `Quick, test_corpus_has_no_failures);
     ("mappings unchanged vs pre-refactor golden", `Slow, test_corpus_unchanged);
     ("telemetry populated by Mapper.map", `Quick, test_stats_populated);
     ("certified minimal IIs match the fixture", `Slow, test_certified_ii_fixture);
+    ("streaming runs unchanged vs golden", `Quick, test_stream_unchanged);
   ]
