@@ -12,27 +12,35 @@
     the input period); the SPM and the per-island DVFS controllers (for
     the ICED policy) are charged per {!Iced_power.Model}.
 
+    {2 Lanes and the window step}
+
+    A {e lane} is one tenant's stream: partition, per-kernel island and
+    fault state, the policy's monitor (none, a {!Controller} or a
+    {!Drips} reshaper), pending reconfiguration latency and reports.
+    One {e step} consumes one window of a lane and reports it; a
+    trailing partial window, and the rest of a stream an abort loses,
+    take index [total / window].  {!run_resilient} (so {!run}) steps
+    one lane, {!run_shared} one lane per tenant.
+
     {2 Resilient execution}
 
-    {!run_resilient} additionally injects an {!Iced_fault.Fault.plan}
-    into the stream and applies a {!recovery} policy when a fault
-    fires.  Everything stays deterministic: the plan's seed drives the
-    upset draws, and remap retries are bounded by a poll budget rather
-    than wall-clock time, so a fault campaign is byte-identical across
-    worker counts.
+    {!run_resilient} injects an {!Iced_fault.Fault.plan} and applies a
+    {!recovery} policy when a fault fires; re-floorplanning goes
+    through {!Recovery.gate}.  The plan's seed drives the upset draws
+    and remap retries are bounded by a poll budget, not wall-clock
+    time, so a fault campaign is byte-identical across worker counts.
 
     {2 Tracing}
 
-    When the {!Iced_obs.Trace} collector is on, a run emits a
-    ["stream"]/["run"] span wrapping the whole stream, one
-    ["stream"]/["window"] span per observation window (stamped with the
-    window index, consumed/dropped/replayed input counts, the
-    controller's bottleneck kernel, and the closing per-kernel levels),
-    a ["fault"]/["activate"] instant per injected fault, and a
-    ["fault"]/["recover"] span per recovery action carrying the
-    reconfiguration latency it charged.  Pass [trace:false] to silence
-    all of it for one call; either way the reports are byte-identical
-    — tracing observes, never steers. *)
+    When the {!Iced_obs.Trace} collector is on, a solo run emits a
+    ["stream"]/["run"] span, one ["stream"]/["window"] span per window
+    (window index, consumed/dropped/replayed counts, the controller's
+    bottleneck kernel, the closing per-kernel levels), a
+    ["fault"]/["activate"] instant per injected fault and a
+    ["fault"]/["recover"] span per recovery carrying the latency it
+    charged; a shared run emits ["tenancy"]/["run_shared"] and one
+    ["tenancy"]/["round"] span per round instead.  [trace:false]
+    silences a call; either way the reports are byte-identical. *)
 
 open Iced_arch
 
@@ -133,18 +141,16 @@ val run_resilient :
 
 (** {2 Shared-fabric multi-tenant streaming}
 
-    {!run_shared} time-multiplexes N independent tenant pipelines on
-    one fabric in rounds: each round, every live tenant consumes one
-    observation window of its own stream on its own island partition
-    with its own Algorithm 3 {!Controller}, and a fabric-wide
-    [arbitrate] callback may throttle the per-kernel levels the
-    controllers asked for (via {!Controller.impose}) before the window
-    runs — the hook a power-cap allocator
-    ([Iced_tenancy.Allocator]) plugs into.  The runner itself is
-    allocator-agnostic and deterministic: with the default identity
-    [arbitrate] and a single tenant, the tenant's
-    {!shared_report.tenant_reports} entry is byte-identical to
-    {!run} on the same partition and inputs. *)
+    {!run_shared} drives one [Iced_dvfs] lane per tenant in rounds.  At
+    each round boundary it calls [reconfigure], lets [arbitrate]
+    throttle the levels each tenant's {!Controller} desires (the hook a
+    power-cap allocator, [Iced_tenancy.Allocator], plugs into), pushes
+    the grant down with {!Controller.impose}, and steps every live lane
+    one window, folding fabric power from each step's per-input tiles
+    and SRAM activity.  A one-tenant [run_shared] with the default
+    identity [arbitrate] runs the same step as {!run}, so its
+    {!shared_report.tenant_reports} entry equals {!run} on the same
+    partition and inputs. *)
 
 type tenant_stream = {
   tenant : string;  (** unique tenant id *)
@@ -220,8 +226,9 @@ val run_shared :
     {!reassignment}).  [fabric] is the physical array the tenants'
     partitions were carved from; it prices the SPM and
     controller-overhead terms of {!shared_window.fabric_power_mw}.
-    Tracing ([trace], default on) emits one ["tenancy"]/["round"] span
-    per round and never changes any result.
+    Tracing ([trace], default on) emits a ["tenancy"]/["run_shared"]
+    span and one ["tenancy"]/["round"] span per round and never
+    changes any result.
     @raise Invalid_argument on an empty or duplicate-id tenant list. *)
 
 type totals = {

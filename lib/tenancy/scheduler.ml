@@ -4,7 +4,7 @@ module Pipeline = Iced_stream.Pipeline
 module Cgra = Iced_arch.Cgra
 module Params = Iced_power.Params
 module Fault = Iced_fault.Fault
-module Bitstream = Iced_mapper.Bitstream
+module Recovery = Iced_stream.Recovery
 
 type spec = {
   fabric : Cgra.t;
@@ -211,24 +211,9 @@ type report = {
   evictions : int;
 }
 
-let tiles_of (p : Partition.t) =
-  List.map
-    (fun (label, count) ->
-      ( label,
-        List.fold_left
-          (fun acc k -> acc + List.length (Cgra.island_tiles p.Partition.cgra k))
-          0
-          (List.init count Fun.id) ))
-    p.Partition.allocation
-
 let reconfig_penalty_us (params : Params.t) (p : Partition.t) =
   List.fold_left
-    (fun acc (label, _) ->
-      let bits =
-        Bitstream.total_bits (Partition.allocated p label).Partition.mapping
-      in
-      let words = (bits + 63) / 64 in
-      acc +. (float_of_int words /. params.Params.f_normal_mhz))
+    (fun acc (label, _) -> acc +. Recovery.reconfig_us params (Partition.allocated p label))
     0.0 p.Partition.allocation
 
 let partition_at placement count = List.assoc_opt count placement.partitions
@@ -245,7 +230,7 @@ let members_of plan =
   List.map
     (fun pl ->
       Allocator.member ~id:pl.tenant.Tenant.id ~qos:pl.tenant.Tenant.qos
-        (tiles_of (List.assoc pl.islands pl.partitions)))
+        (Recovery.tiles (List.assoc pl.islands pl.partitions)))
     plan.placements
 
 let max_envelope_mw plan =
@@ -261,14 +246,15 @@ let floor_envelope_mw plan =
 let run ?cap_mw ~policy plan =
   let spec = plan.spec in
   let params = spec.params in
-  (* fresh mutable replicas per run: a plan is shared read-only across
+  (* fresh mutable holders per run: a plan is shared read-only across
      sweep workers *)
-  let states =
+  let holders =
     List.map
       (fun pl ->
-        (pl, ref pl.owned, ref pl.islands, ref (List.assoc pl.islands pl.partitions)))
+        { Recovery.item = pl; floor = pl.min_islands; count = pl.islands; owned = pl.owned })
       plan.placements
   in
+  let id (h : placement Recovery.holder) = h.item.tenant.Tenant.id in
   let alloc =
     Allocator.create ?cap_mw ~params ~policy ~fabric:spec.fabric (members_of plan)
   in
@@ -287,18 +273,16 @@ let run ?cap_mw ~policy plan =
   in
   let faults_injected = ref 0 in
   let reallocations = ref 0 in
-  let evicted_now = ref [] in
   let realloc_by_round = Hashtbl.create 8 in
   let note_realloc round id =
     let cur = try Hashtbl.find realloc_by_round round with Not_found -> [] in
     if not (List.mem id cur) then Hashtbl.replace realloc_by_round round (cur @ [ id ])
   in
   (* Fault-triggered island reallocation ACROSS tenants: a dead island
-     shrinks its owner onto a prepared smaller partition; when the
-     owner is already at its pipeline's floor it borrows an island
-     from the richest donor (which shrinks instead); with no donor the
-     victim is evicted.  Reconfiguration latency is charged per
-     {!Bitstream} word, exactly like single-tenant recovery. *)
+     shrinks its owner onto a prepared smaller partition, else the owner
+     borrows an island from the richest live tenant (ties on id), else
+     the owner is evicted.  Reconfiguration latency is charged per
+     bitstream word, exactly like single-tenant recovery. *)
   let reconfigure ~round ~active =
     let dead =
       List.filter_map
@@ -308,92 +292,50 @@ let run ?cap_mw ~policy plan =
           else None)
         fault_events
     in
-    if dead = [] then None
+    let swaps = ref [] and evictions = ref [] in
+    (* a fit is a prepared partition; taking it swaps the tenant over *)
+    let resize h =
+      match partition_at h.Recovery.item h.count with
+      | None -> Error "no prepared partition"
+      | Some p ->
+        swaps := !swaps @ [ (id h, p, reconfig_penalty_us params p) ];
+        Allocator.update_tiles alloc ~id:(id h) (Recovery.tiles p);
+        note_realloc round (id h);
+        incr reallocations;
+        Ok ()
+    in
+    List.iter
+      (fun island ->
+        incr faults_injected;
+        (* tenants evicted earlier are no longer [active] *)
+        let fleet =
+          List.filter
+            (fun h -> List.mem_assoc (id h) active && not (List.mem (id h) !evictions))
+            holders
+          |> List.sort (fun a b -> compare (id a) (id b))
+        in
+        match Recovery.owner fleet island with
+        | None -> () (* unowned or drained island: harmless *)
+        | Some victim -> (
+          match Recovery.gate ~resize fleet victim ~island with
+          | Ok () -> ()
+          | Error _ -> evictions := !evictions @ [ id victim ]))
+      dead;
+    if !swaps = [] && !evictions = [] then None
     else begin
-      let active_ids = List.map fst active in
-      let live id = List.mem id active_ids && not (List.mem id !evicted_now) in
-      let swaps = ref [] in
-      let evictions = ref [] in
-      let swap id p =
-        let penalty = reconfig_penalty_us params p in
-        swaps := !swaps @ [ (id, p, penalty) ];
-        Allocator.update_tiles alloc ~id (tiles_of p);
-        note_realloc round id;
-        incr reallocations
-      in
-      let evict id =
-        evicted_now := id :: !evicted_now;
-        evictions := !evictions @ [ id ]
-      in
-      List.iter
-        (fun island ->
-          incr faults_injected;
-          let owner =
-            List.find_opt
-              (fun (pl, owned, _, _) ->
-                List.mem island !owned && live pl.tenant.Tenant.id)
-              states
-          in
-          match owner with
-          | None -> () (* unowned or drained island: harmless *)
-          | Some (vpl, vowned, vcount, vpart) -> (
-            let vid = vpl.tenant.Tenant.id in
-            vowned := List.filter (fun i -> i <> island) !vowned;
-            let shrunk = !vcount - 1 in
-            match partition_at vpl shrunk with
-            | Some p when shrunk >= vpl.min_islands ->
-              vcount := shrunk;
-              vpart := p;
-              swap vid p
-            | _ -> (
-              let donors =
-                List.filter
-                  (fun (dpl, _, dcount, _) ->
-                    dpl.tenant.Tenant.id <> vid
-                    && live dpl.tenant.Tenant.id
-                    && !dcount > dpl.min_islands
-                    && partition_at dpl (!dcount - 1) <> None)
-                  states
-                |> List.sort (fun (d1, _, c1, _) (d2, _, c2, _) ->
-                       if !c1 <> !c2 then compare !c2 !c1
-                       else compare d1.tenant.Tenant.id d2.tenant.Tenant.id)
-              in
-              match donors with
-              | (dpl, downed, dcount, dpart) :: _ -> (
-                match List.rev !downed with
-                | given :: kept_rev ->
-                  downed := List.rev kept_rev;
-                  vowned := !vowned @ [ given ];
-                  dcount := !dcount - 1;
-                  let dp =
-                    match partition_at dpl !dcount with
-                    | Some dp -> dp
-                    | None -> assert false
-                  in
-                  dpart := dp;
-                  swap dpl.tenant.Tenant.id dp;
-                  (* the victim reloads its unchanged bitstream onto
-                     the borrowed island *)
-                  swap vid !vpart
-                | [] -> evict vid)
-              | [] -> evict vid)))
-        dead;
-      if !swaps = [] && !evictions = [] then None
-      else begin
-        Iced_obs.Metrics.incr ~by:(List.length !swaps) "tenancy.reallocations";
-        Some { Runner.swaps = !swaps; evictions = !evictions }
-      end
+      Iced_obs.Metrics.incr ~by:(List.length !swaps) "tenancy.reallocations";
+      Some { Runner.swaps = !swaps; evictions = !evictions }
     end
   in
   let streams =
     List.map
-      (fun (pl, _, _, part) ->
+      (fun h ->
         {
-          Runner.tenant = pl.tenant.Tenant.id;
-          partition = !part;
-          stream = pl.tenant.Tenant.inputs;
+          Runner.tenant = id h;
+          partition = List.assoc h.Recovery.count h.item.partitions;
+          stream = h.item.tenant.Tenant.inputs;
         })
-      states
+      holders
   in
   let shared =
     Runner.run_shared ~window:spec.window ~params
@@ -428,7 +370,8 @@ let run ?cap_mw ~policy plan =
   let evicted_ids = List.map fst shared.Runner.evicted in
   let tenant_summaries =
     List.map
-      (fun (pl, _, count, _) ->
+      (fun (h : placement Recovery.holder) ->
+        let pl = h.item in
         let id = pl.tenant.Tenant.id in
         let reports =
           match List.assoc_opt id shared.Runner.tenant_reports with
@@ -451,7 +394,7 @@ let run ?cap_mw ~policy plan =
         {
           id;
           qos = pl.tenant.Tenant.qos;
-          islands = !count;
+          islands = h.count;
           offered = List.length pl.tenant.Tenant.inputs;
           completed;
           throughput_per_s =
@@ -466,7 +409,7 @@ let run ?cap_mw ~policy plan =
           throttled_rounds;
           evicted = List.mem id evicted_ids;
         })
-      states
+      holders
   in
   let completed_total =
     List.fold_left (fun a (s : tenant_summary) -> a + s.completed) 0 tenant_summaries

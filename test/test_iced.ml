@@ -15,6 +15,7 @@ let () =
       ("kernels", Test_kernels.suite);
       ("sim", Test_sim.suite);
       ("stream", Test_stream.suite);
+      ("recovery", Test_recovery.suite);
       ("fault", Test_fault.suite);
       ("design", Test_design.suite);
       ("explore", Test_explore.suite);
