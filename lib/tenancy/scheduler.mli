@@ -18,9 +18,9 @@
     {2 Running}
 
     {!run} wires an {!Allocator} (the power cap) and a fault-driven
-    [reconfigure] hook (cross-tenant island reallocation: shrink the
-    victim, else borrow from the richest donor, else evict) into the
-    shared runner, then reduces the outcome to a {!report}: per-round
+    [reconfigure] hook ({!Iced_stream.Recovery.gate} across tenants:
+    shrink the victim, else borrow from the richest, else evict) into
+    the shared runner, then reduces the outcome to a {!report}: per-round
     power against the cap, per-tenant throughput/energy/violation
     accounting, the Jain fairness index over tenant throughputs, and
     fleet totals.  Everything is a pure function of the plan, the
