@@ -145,3 +145,64 @@ let golden_lines () =
       | Ok m -> Printf.sprintf "%s\t%s" name (fingerprint m)
       | Error msg -> Printf.sprintf "%s\tFAIL:%s" name msg)
     (cases ())
+
+(* ------------------------------------------------------------------ *)
+(* the non-default backends *)
+
+(* The [sa] and [pathfinder] backends are deterministic too: each line
+   pins a mapping's fingerprint plus the search counters, so a change
+   that keeps the result but walks a different search still shows.
+   Pathfinder under the conventional cost model on 6x6 and committed
+   fft under Pathfinder are left out: they take seconds per case. *)
+let counters (s : Mapper.stats) =
+  Printf.sprintf
+    "attempts=%d placements_tried=%d route_calls=%d expansions=%d sa_moves_accepted=%d \
+     sa_moves_rejected=%d sa_temp_steps=%d pf_rounds=%d pf_overflow=%d"
+    s.attempts s.placements_tried s.route_calls s.expansions s.sa_moves_accepted
+    s.sa_moves_rejected s.sa_temp_steps s.pf_rounds s.pf_overflow
+
+let backend_cases () =
+  let module Backend = Iced_mapper.Backend in
+  let kernel name = Option.get (Iced_kernels.Registry.by_name name) in
+  let case ~fabric ~tag req (k : Iced_kernels.Kernel.t) backends =
+    List.map
+      (fun backend ->
+        ( Printf.sprintf "%s:%s:%s:%s" (Backend.to_string backend) k.name fabric tag,
+          { req with Mapper.backend },
+          k.dfg ))
+      backends
+  in
+  let both = [ Backend.sa; Backend.pathfinder ] in
+  let table1 strategy backends =
+    List.concat_map
+      (fun k ->
+        case ~fabric:"6x6" ~tag:(strategy_to_string strategy)
+          (Mapper.request ~strategy Cgra.iced_6x6)
+          k backends)
+      Iced_kernels.Registry.all
+  in
+  let committed name backends =
+    case ~fabric:"8x8" ~tag:"committed"
+      (Mapper.request ~strategy:Mapper.Dvfs_aware ~commit_islands:true
+         (Cgra.make ~rows:8 ~cols:8 ()))
+      (kernel name) backends
+  in
+  table1 Mapper.Dvfs_aware both
+  @ table1 Mapper.Conventional [ Backend.sa ]
+  @ case ~fabric:"10x10" ~tag:"dvfs"
+      (Mapper.request ~strategy:Mapper.Dvfs_aware (Cgra.make ~rows:10 ~cols:10 ()))
+      (kernel "rand40x1") both
+  @ committed "fir" both
+  @ committed "fft" [ Backend.sa ]
+
+let backend_lines () =
+  List.map
+    (fun (name, req, dfg) ->
+      let stats = Mapper.create_stats () in
+      let result =
+        match Mapper.map ~stats req dfg with
+        | Ok m -> fingerprint m
+        | Error msg -> "FAIL:" ^ msg
+      in
+      Printf.sprintf "%s\t%s\t%s" name result (counters stats))
+    (backend_cases ())

@@ -26,17 +26,30 @@ let case_name line = match String.index_opt line '\t' with
   | Some i -> String.sub line 0 i
   | None -> line
 
-let test_corpus_unchanged () =
-  let expected = read_lines golden_path in
-  let actual = Iced_testgen.Diff_gen.golden_lines () in
-  Alcotest.(check int) "corpus size matches golden file" (List.length expected)
-    (List.length actual);
+let check_against_golden ~what path actual =
+  let expected = read_lines path in
+  Alcotest.(check int) (what ^ " golden size") (List.length expected) (List.length actual);
   List.iter2
     (fun e a ->
       if not (String.equal e a) then
-        Alcotest.failf "mapping drifted for %s\n  golden: %s\n  now:    %s"
-          (case_name e) e a)
+        Alcotest.failf "%s drifted for %s\n  golden: %s\n  now:    %s" what (case_name e)
+          e a)
     expected actual
+
+let test_corpus_unchanged () =
+  check_against_golden ~what:"mapping" golden_path (Iced_testgen.Diff_gen.golden_lines ())
+
+(* test/golden/backend_golden.txt pins the [sa] and [pathfinder]
+   backends the same way, plus each case's search counters (attempts,
+   placements, route calls, expansions, SA moves and temperature steps,
+   Pathfinder rounds and overflow): an optimisation of the mapper's hot
+   path must leave both the mappings and the search that found them
+   unchanged.  The cases are listed in Iced_testgen.Diff_gen. *)
+let backend_golden_path = "golden/backend_golden.txt"
+
+let test_backends_unchanged () =
+  check_against_golden ~what:"backend" backend_golden_path
+    (Iced_testgen.Diff_gen.backend_lines ())
 
 let test_corpus_has_no_failures () =
   (* The corpus is meant to exercise successful mappings; a FAIL line in
@@ -124,20 +137,14 @@ let test_certified_ii_fixture () =
 let stream_golden_path = "golden/stream_golden.txt"
 
 let test_stream_unchanged () =
-  let expected = read_lines stream_golden_path in
-  let actual = Iced_testgen.Stream_gen.golden_lines () in
-  Alcotest.(check int) "stream golden size" (List.length expected) (List.length actual);
-  List.iter2
-    (fun e a ->
-      if not (String.equal e a) then
-        Alcotest.failf "streaming drifted for %s\n  golden: %s\n  now:    %s"
-          (case_name e) e a)
-    expected actual
+  check_against_golden ~what:"streaming" stream_golden_path
+    (Iced_testgen.Stream_gen.golden_lines ())
 
 let suite =
   [
     ("golden corpus has no FAIL cases", `Quick, test_corpus_has_no_failures);
     ("mappings unchanged vs pre-refactor golden", `Slow, test_corpus_unchanged);
+    ("sa and pathfinder unchanged vs golden", `Slow, test_backends_unchanged);
     ("telemetry populated by Mapper.map", `Quick, test_stats_populated);
     ("certified minimal IIs match the fixture", `Slow, test_certified_ii_fixture);
     ("streaming runs unchanged vs golden", `Quick, test_stream_unchanged);
