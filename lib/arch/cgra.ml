@@ -32,8 +32,11 @@ let tile_id t ~row ~col =
   if not (in_bounds t ~row ~col) then invalid_arg "Cgra.tile_id: out of bounds";
   (row * t.cols) + col
 
+let check_tile t id =
+  if id < 0 || id >= tile_count t then invalid_arg "Cgra.position: out of bounds"
+
 let position t id =
-  if id < 0 || id >= tile_count t then invalid_arg "Cgra.position: out of bounds";
+  check_tile t id;
   (id / t.cols, id mod t.cols)
 
 let neighbor t id dir =
@@ -51,9 +54,13 @@ let has_memory_port t id =
 
 let memory_tiles t = List.init t.rows (fun row -> tile_id t ~row ~col:0)
 
+(* The mapper prices routing hops with [manhattan] and [island_of] on
+   every relaxation, so both do their row/column arithmetic in place
+   rather than through [position]'s tuple. *)
 let manhattan t a b =
-  let ra, ca = position t a and rb, cb = position t b in
-  abs (ra - rb) + abs (ca - cb)
+  check_tile t a;
+  check_tile t b;
+  abs ((a / t.cols) - (b / t.cols)) + abs ((a mod t.cols) - (b mod t.cols))
 
 let island_grid_cols t = (t.cols + t.island_cols - 1) / t.island_cols
 let island_grid_rows t = (t.rows + t.island_rows - 1) / t.island_rows
@@ -61,14 +68,28 @@ let island_grid_rows t = (t.rows + t.island_rows - 1) / t.island_rows
 let island_count t = island_grid_rows t * island_grid_cols t
 
 let island_of t id =
-  let row, col = position t id in
+  check_tile t id;
+  let row = id / t.cols and col = id mod t.cols in
   ((row / t.island_rows) * island_grid_cols t) + (col / t.island_cols)
 
 let islands t = List.init (island_count t) (fun i -> i)
 
+(* An island is the block of rows [r0, r1) x columns [c0, c1), clipped
+   at the fabric edge; walking it backwards row-major and consing
+   yields ascending ids. *)
 let island_tiles t island =
   if island < 0 || island >= island_count t then invalid_arg "Cgra.island_tiles: unknown island";
-  List.filter (fun id -> island_of t id = island) (List.init (tile_count t) (fun i -> i))
+  let grid_cols = island_grid_cols t in
+  let r0 = (island / grid_cols) * t.island_rows in
+  let c0 = (island mod grid_cols) * t.island_cols in
+  let r1 = min t.rows (r0 + t.island_rows) and c1 = min t.cols (c0 + t.island_cols) in
+  let acc = ref [] in
+  for row = r1 - 1 downto r0 do
+    for col = c1 - 1 downto c0 do
+      acc := ((row * t.cols) + col) :: !acc
+    done
+  done;
+  !acc
 
 let same_island t a b = island_of t a = island_of t b
 

@@ -25,19 +25,22 @@ let edge_cost state (e : Graph.edge) ~src_tile ~src_time ~dst_tile ~dst_time =
 (* Total cost of [node]'s incident dependences with [node] at
    [(tile, time)] and every other endpoint at its current placement. *)
 let incident state node tile time =
-  let coord id = if id = node then (tile, time) else Hashtbl.find state.placements id in
+  let tile_of id = if id = node then tile else state.place_tile.(id) in
+  let time_of id = if id = node then time else state.place_time.(id) in
   let pred_cost =
     List.fold_left
       (fun acc (e : Graph.edge) ->
-        let src_tile, src_time = coord e.src in
-        acc + edge_cost state e ~src_tile ~src_time ~dst_tile:tile ~dst_time:time)
+        acc
+        + edge_cost state e ~src_tile:(tile_of e.src) ~src_time:(time_of e.src)
+            ~dst_tile:tile ~dst_time:time)
       0
       (Graph.predecessors state.dfg node)
   in
   List.fold_left
     (fun acc (e : Graph.edge) ->
-      let dst_tile, dst_time = coord e.dst in
-      acc + edge_cost state e ~src_tile:tile ~src_time:time ~dst_tile ~dst_time)
+      acc
+      + edge_cost state e ~src_tile:tile ~src_time:time ~dst_tile:(tile_of e.dst)
+          ~dst_time:(time_of e.dst))
     pred_cost
     (Graph.successors state.dfg node)
 
@@ -50,7 +53,7 @@ let place_untraced (p : Backend.sa_params) state order =
   | Ok () ->
     let rng = Rng.create p.seed in
     let nodes = Array.of_list (Graph.node_ids state.dfg) in
-    let eligible = Hashtbl.create (Array.length nodes) in
+    let eligible = Array.make (Array.length state.place_tile) [||] in
     Array.iter
       (fun node ->
         let op = (Graph.node state.dfg node).op in
@@ -67,7 +70,7 @@ let place_untraced (p : Backend.sa_params) state order =
               | None -> true)
             state.tiles
         in
-        Hashtbl.replace eligible node (Array.of_list tiles))
+        eligible.(node) <- Array.of_list tiles)
       nodes;
     let stats = state.stats in
     let accept_move delta t =
@@ -78,8 +81,8 @@ let place_untraced (p : Backend.sa_params) state order =
        [t].  Returns whether the move was accepted. *)
     let attempt_move t =
       let node = nodes.(Rng.int rng (Array.length nodes)) in
-      let old_tile, old_time = Hashtbl.find state.placements node in
-      let tiles = Hashtbl.find eligible node in
+      let old_tile = state.place_tile.(node) and old_time = state.place_time.(node) in
+      let tiles = eligible.(node) in
       if Array.length tiles = 0 then false
       else begin
         let tile = tiles.(Rng.int rng (Array.length tiles)) in
@@ -102,7 +105,7 @@ let place_untraced (p : Backend.sa_params) state order =
                 incident state node tile time - incident state node old_tile old_time
               in
               if accept_move delta t then begin
-                Hashtbl.replace state.placements node (tile, time);
+                Engine.place state node tile time;
                 true
               end
               else begin

@@ -63,24 +63,44 @@ let cost_route_open_island = weights.Cost.route_open_island
 
 let rank = Cost.rank
 
+(* Per-node and per-island working state lives in flat arrays: node
+   arrays are sized by the largest node id + 1 (ids may be sparse), so
+   the cost model's reads are array loads, not hashtable probes. *)
 type state = {
   dfg : Graph.t;
   req : request;
   tiles : int list;
   memory_tiles : int list;
   ii : int;
-  labels : (int * Dvfs.level) list;
+  labels : Dvfs.level array; (* node -> Algorithm 1 label *)
   estimate : Estimate.t;
-  cycle_mates : (int, int list) Hashtbl.t;
-      (* members of the longest recurrence cycle through each node *)
+  cycle_mates : int list array;
+      (* node -> members of the longest recurrence cycle through it, [] off cycles *)
   mrrg : Mrrg.t;
-  placements : (int, int * int) Hashtbl.t; (* node -> (tile, time) *)
+  place_tile : int array; (* node -> tile, -1 = unplaced *)
+  place_time : int array; (* node -> start time, meaningful when placed *)
   mutable routes : Mapping.route list;
-  island_level : (int, Dvfs.level) Hashtbl.t; (* tentative, Dvfs_aware only *)
+  island_level : Dvfs.level option array; (* island -> tentative level, Dvfs_aware only *)
   committed : (int, Dvfs.level) Hashtbl.t option; (* island -> level, commit mode *)
   scratch : Router.scratch; (* shared routing arena, one per mapping run *)
   stats : Telemetry.t;
 }
+
+let node_slots dfg = 1 + List.fold_left max (-1) (Graph.node_ids dfg)
+
+let is_placed state node = state.place_tile.(node) >= 0
+
+let place state node tile time =
+  state.place_tile.(node) <- tile;
+  state.place_time.(node) <- time
+
+let placements state =
+  let acc = ref [] in
+  for node = Array.length state.place_tile - 1 downto 0 do
+    if is_placed state node then
+      acc := (node, (state.place_tile.(node), state.place_time.(node))) :: !acc
+  done;
+  !acc
 
 (* Values produced by Const nodes are iteration-invariant, so the
    consumer may read the copy produced [k] iterations earlier: their
@@ -95,13 +115,18 @@ let edge_slack state (e : Graph.edge) =
 let label_of state node =
   match state.req.strategy with
   | Conventional -> Dvfs.Normal
-  | Dvfs_aware -> (
-    match List.assoc_opt node state.labels with Some l -> l | None -> Dvfs.Normal)
+  | Dvfs_aware -> state.labels.(node)
 
 let busy_count state tile = Mrrg.busy_slot_count state.mrrg ~tile
 
 (* Tentative level of an island while mapping; [None] = not opened. *)
-let tentative_level state island = Hashtbl.find_opt state.island_level island
+let tentative_level state island = state.island_level.(island)
+
+(* Open [island] at [label], or raise its tentative level to [label]. *)
+let note_island state island label =
+  match state.island_level.(island) with
+  | Some assigned when rank label <= rank assigned -> ()
+  | Some _ | None -> state.island_level.(island) <- Some label
 
 (* Commit-mode slot width of a tile: a slowed tile's op or hop covers
    multiplier-many base-clock slots (capacity loss).  The *latency* of
@@ -125,8 +150,7 @@ let committed_level state tile =
    any: [`Empty] when the island has no events yet, [`Phase p] when all
    events fall on phase [p], [`Broken] when they already disagree (the
    island cannot be slowed, so alignment no longer matters). *)
-let island_phase state island m =
-  Mrrg.phase_of state.mrrg ~tiles:(Cgra.island_tiles state.req.cgra island) ~modulo:m
+let island_phase state island m = Mrrg.island_phase state.mrrg ~island ~modulo:m
 
 (* Phase-misalignment penalty for scheduling an event on [tile] at
    [time], given the tile's island intends to run slowed.  Only
@@ -173,21 +197,19 @@ let time_window state node tile =
   let lst = ref max_int in
   List.iter
     (fun (e : Graph.edge) ->
-      match Hashtbl.find_opt state.placements e.src with
-      | Some (src_tile, src_time) ->
-        let dist = Cgra.manhattan cgra src_tile tile in
-        let bound = src_time + dist + 1 - edge_slack state e in
+      if is_placed state e.src then begin
+        let dist = Cgra.manhattan cgra state.place_tile.(e.src) tile in
+        let bound = state.place_time.(e.src) + dist + 1 - edge_slack state e in
         if bound > !hard then hard := bound
-      | None -> ())
+      end)
     (Graph.predecessors state.dfg node);
   List.iter
     (fun (e : Graph.edge) ->
-      match Hashtbl.find_opt state.placements e.dst with
-      | None -> ()
-      | Some (dst_tile, dst_time) ->
-        let dist = Cgra.manhattan cgra tile dst_tile in
-        let bound = dst_time + edge_slack state e - dist - 1 in
-        if bound < !lst then lst := bound)
+      if is_placed state e.dst then begin
+        let dist = Cgra.manhattan cgra tile state.place_tile.(e.dst) in
+        let bound = state.place_time.(e.dst) + edge_slack state e - dist - 1 in
+        if bound < !lst then lst := bound
+      end)
     (Graph.successors state.dfg node);
   let hard = max 0 !hard in
   let soft = max hard (Estimate.start state.estimate node) in
@@ -201,30 +223,28 @@ let cheap_cost state node tile time =
   let route_lb = ref 0 in
   List.iter
     (fun (e : Graph.edge) ->
-      match Hashtbl.find_opt state.placements e.src with
-      | None -> ()
-      | Some (src_tile, src_time) ->
-        let dist = Cgra.manhattan cgra src_tile tile in
+      if is_placed state e.src then begin
+        let dist = Cgra.manhattan cgra state.place_tile.(e.src) tile in
         route_lb := !route_lb + (Router.hop_cost * dist);
-        let slack = time + edge_slack state e - (src_time + dist + 1) in
-        route_lb := !route_lb + (cost_wait * max 0 slack))
+        let slack = time + edge_slack state e - (state.place_time.(e.src) + dist + 1) in
+        route_lb := !route_lb + (cost_wait * max 0 slack)
+      end)
     (Graph.predecessors state.dfg node);
   List.iter
     (fun (e : Graph.edge) ->
-      match Hashtbl.find_opt state.placements e.dst with
-      | None -> ()
-      | Some (dst_tile, _) ->
-        route_lb := !route_lb + (Router.hop_cost * Cgra.manhattan cgra tile dst_tile))
+      if is_placed state e.dst then
+        route_lb :=
+          !route_lb + (Router.hop_cost * Cgra.manhattan cgra tile state.place_tile.(e.dst)))
     (Graph.successors state.dfg node);
   (* A recurrence cycle must usually close on one tile (hops cost 2
      cycles each); opening it on a tile that cannot seat its remaining
      members forces a split and a larger II. *)
   let capacity_penalty =
-    match Hashtbl.find_opt state.cycle_mates node with
-    | None -> 0
-    | Some mates ->
+    match state.cycle_mates.(node) with
+    | [] -> 0
+    | mates ->
       let unplaced =
-        List.length (List.filter (fun m -> not (Hashtbl.mem state.placements m)) mates)
+        List.fold_left (fun n m -> if is_placed state m then n else n + 1) 0 mates
       in
       if busy_count state tile + unplaced > state.ii then 400 else 0
   in
@@ -237,7 +257,7 @@ let cheap_cost state node tile time =
          violated"), except for recurrence-cycle nodes, which must stay
          packed to close their cycles.  The scattering is what leaves
          per-tile DVFS so little to power-gate. *)
-      let on_cycle = Hashtbl.mem state.cycle_mates node in
+      let on_cycle = state.cycle_mates.(node) <> [] in
       (if on_cycle then cost_pack else cost_spread) * busy_count state tile
     | Dvfs_aware -> (
       let island = Cgra.island_of cgra tile in
@@ -298,18 +318,18 @@ let route_incident state node tile time =
   let pred_steps =
     List.filter_map
       (fun (e : Graph.edge) ->
-        match Hashtbl.find_opt state.placements e.src with
-        | None -> None
-        | Some (src_tile, src_time) ->
+        if not (is_placed state e.src) then None
+        else
+          let src_tile = state.place_tile.(e.src) and src_time = state.place_time.(e.src) in
           Some (fun () -> route_one e ~src_tile ~src_time ~dst_tile:tile ~dst_time:time))
       (Graph.predecessors state.dfg node)
   in
   let succ_steps =
     List.filter_map
       (fun (e : Graph.edge) ->
-        match Hashtbl.find_opt state.placements e.dst with
-        | None -> None
-        | Some (dst_tile, dst_time) ->
+        if not (is_placed state e.dst) then None
+        else
+          let dst_tile = state.place_tile.(e.dst) and dst_time = state.place_time.(e.dst) in
           Some (fun () -> route_one e ~src_tile:tile ~src_time:time ~dst_tile ~dst_time))
       (Graph.successors state.dfg node)
   in
@@ -347,22 +367,16 @@ let release_fu state tile time =
    greedy placer maintains them move-by-move; the SA placer shuffles
    nodes freely and rebuilds them once before routing). *)
 let rebuild_island_levels state =
-  Hashtbl.reset state.island_level;
+  Array.fill state.island_level 0 (Array.length state.island_level) None;
   match state.req.strategy with
   | Conventional -> ()
   | Dvfs_aware ->
     List.iter
       (fun node ->
-        match Hashtbl.find_opt state.placements node with
-        | None -> ()
-        | Some (tile, _) ->
-          let island = Cgra.island_of state.req.cgra tile in
-          let label = label_of state node in
-          (match Hashtbl.find_opt state.island_level island with
-          | None -> Hashtbl.replace state.island_level island label
-          | Some assigned ->
-            if rank label > rank assigned then
-              Hashtbl.replace state.island_level island label))
+        if is_placed state node then
+          note_island state
+            (Cgra.island_of state.req.cgra state.place_tile.(node))
+            (label_of state node))
       (Graph.node_ids state.dfg)
 
 (* Every dependence of a complete placement in one deterministic order
@@ -378,11 +392,12 @@ let all_deps state =
 let route_complete state =
   let rec go = function
     | [] -> Ok ()
-    | (e : Graph.edge) :: rest -> (
-      match
-        (Hashtbl.find_opt state.placements e.src, Hashtbl.find_opt state.placements e.dst)
-      with
-      | Some (src_tile, src_time), Some (dst_tile, dst_time) -> (
+    | (e : Graph.edge) :: rest ->
+      if not (is_placed state e.src && is_placed state e.dst) then
+        Error (Printf.sprintf "edge n%d->n%d: endpoint unplaced" e.src e.dst)
+      else begin
+        let src_tile = state.place_tile.(e.src) and src_time = state.place_time.(e.src) in
+        let dst_tile = state.place_tile.(e.dst) and dst_time = state.place_time.(e.dst) in
         let deadline = dst_time + edge_slack state e - 1 in
         if src_tile = dst_tile && deadline >= src_time then begin
           state.routes <- { Mapping.edge = e; hops = [] } :: state.routes;
@@ -399,7 +414,7 @@ let route_complete state =
           | Ok (hops, _) ->
             state.routes <- { Mapping.edge = e; hops } :: state.routes;
             go rest
-          | Error msg -> Error msg)
-      | _ -> Error (Printf.sprintf "edge n%d->n%d: endpoint unplaced" e.src e.dst))
+          | Error msg -> Error msg
+      end
   in
   go (all_deps state)

@@ -49,23 +49,45 @@ type state = {
   tiles : int list;
   memory_tiles : int list;
   ii : int;
-  labels : (int * Dvfs.level) list;
+  labels : Dvfs.level array;  (** node -> Algorithm 1 label *)
   estimate : Estimate.t;
-  cycle_mates : (int, int list) Hashtbl.t;
+  cycle_mates : int list array;
+      (** node -> members of the longest recurrence cycle through it
+          ([[]] off every cycle) *)
   mrrg : Mrrg.t;
-  placements : (int, int * int) Hashtbl.t;  (** node -> (tile, time) *)
+  place_tile : int array;  (** node -> tile, [-1] while unplaced *)
+  place_time : int array;  (** node -> start time, read only when placed *)
   mutable routes : Mapping.route list;
-  island_level : (int, Dvfs.level) Hashtbl.t;  (** tentative, Dvfs_aware only *)
+  island_level : Dvfs.level option array;
+      (** island -> tentative level ([None] = not opened), Dvfs_aware only *)
   committed : (int, Dvfs.level) Hashtbl.t option;  (** island -> level, commit mode *)
   scratch : Router.scratch;
   stats : Telemetry.t;
 }
-(** One placement attempt's working set.  Placers mutate [placements],
-    the MRRG, and [island_level]; routers append to [routes] and
-    reserve MRRG ports. *)
+(** One placement attempt's working set.  Node arrays are indexed by
+    node id and sized by {!node_slots}; island arrays by island id.
+    Placers mutate the placement arrays, the MRRG, and [island_level];
+    routers append to [routes] and reserve MRRG ports. *)
+
+val node_slots : Graph.t -> int
+(** Largest node id + 1: the length of every node-indexed array (ids
+    may be sparse). *)
+
+val is_placed : state -> int -> bool
+
+val place : state -> int -> int -> int -> unit
+(** [place state node tile time] records a placement (the caller has
+    reserved the FU). *)
+
+val placements : state -> (int * (int * int)) list
+(** Every placed [(node, (tile, time))], in ascending node id. *)
 
 val rank : Dvfs.level -> int
 (** {!Cost.rank}, re-exported for backends' island bookkeeping. *)
+
+val note_island : state -> int -> Dvfs.level -> unit
+(** [note_island state island label] opens [island] at [label], or
+    raises its tentative level to [label] when that is faster. *)
 
 val edge_slack : state -> Graph.edge -> int
 (** Loop-carried slack of an edge in cycles ([distance * II], plus two

@@ -43,13 +43,7 @@ let place_node_untraced ~route state node =
   let note_island tile =
     match state.req.strategy with
     | Conventional -> ()
-    | Dvfs_aware -> (
-      let island = Cgra.island_of cgra tile in
-      let label = label_of state node in
-      match Hashtbl.find_opt state.island_level island with
-      | None -> Hashtbl.replace state.island_level island label
-      | Some assigned ->
-        if rank label > rank assigned then Hashtbl.replace state.island_level island label)
+    | Dvfs_aware -> note_island state (Cgra.island_of cgra tile) (label_of state node)
   in
   let try_tiles eligible_tiles =
     let candidates = ref [] in
@@ -79,9 +73,9 @@ let place_node_untraced ~route state node =
       in
       let neighbours =
         let placed id =
-          match Hashtbl.find_opt state.placements id with
-          | Some (tile, time) -> Printf.sprintf "n%d@t%d,c%d" id tile time
-          | None -> Printf.sprintf "n%d@?" id
+          if is_placed state id then
+            Printf.sprintf "n%d@t%d,c%d" id state.place_tile.(id) state.place_time.(id)
+          else Printf.sprintf "n%d@?" id
         in
         let preds =
           List.map (fun (e : Graph.edge) -> placed e.src) (Graph.predecessors state.dfg node)
@@ -110,14 +104,14 @@ let place_node_untraced ~route state node =
         | Error _ -> attempt (n + 1) rest
         | Ok () ->
           if not route then begin
-            Hashtbl.replace state.placements node (tile, time);
+            place state node tile time;
             note_island tile;
             Ok ()
           end
           else (
             match route_incident state node tile time with
             | Ok routes ->
-              Hashtbl.replace state.placements node (tile, time);
+              place state node tile time;
               state.routes <- routes @ state.routes;
               note_island tile;
               Ok ()

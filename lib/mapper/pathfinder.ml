@@ -25,30 +25,53 @@ let route_all (p : Backend.pf_params) state =
   let usage = Array.make nres 0 in
   let history = Array.make nres 0 in
   let res ~tile ~dir ~time = (((tile * 4) + dir_code dir) * ii) + (time mod ii) in
-  (* A hop list's distinct resources: fan-out of one edge shares wires,
-     so the same slot crossed twice by one edge counts once (mirroring
-     the MRRG's same-occupant idempotent reserve). *)
-  let resources_of hops =
-    List.fold_left
-      (fun acc (h : Mapping.hop) ->
-        let r = res ~tile:h.tile ~dir:h.dir ~time:h.time in
-        if List.mem r acc then acc else r :: acc)
-      [] hops
+  (* Each port slot's base price: its DVFS hop cost, or -1 on a dead
+     link.  Priced once per call: ports are reserved only at commit,
+     and FU occupancy and island levels stay fixed while negotiating,
+     so neither the price nor the slot's freedom changes between
+     rounds (the phase term depends on the time only mod II). *)
+  let base = Array.make nres (-1) in
+  for tile = 0 to tiles - 1 do
+    List.iter
+      (fun dir ->
+        for time = 0 to ii - 1 do
+          if Mrrg.is_free mrrg ~tile ~time (Mrrg.Port dir) then
+            base.(res ~tile ~dir ~time) <- route_extra_cost state ~tile ~time
+        done)
+      Dir.all
+  done;
+  let present = ref p.present_base in
+  let port_cost ~tile ~dir ~time =
+    let r = res ~tile ~dir ~time in
+    let price = base.(r) in
+    if price < 0 then -1
+    else price + (p.history_weight * history.(r)) + (usage.(r) * !present)
   in
-  let add_usage hops = List.iter (fun r -> usage.(r) <- usage.(r) + 1) (resources_of hops) in
-  let sub_usage hops = List.iter (fun r -> usage.(r) <- usage.(r) - 1) (resources_of hops) in
-  let endpoints (e : Graph.edge) =
-    match
-      (Hashtbl.find_opt state.placements e.src, Hashtbl.find_opt state.placements e.dst)
-    with
-    | Some src, Some dst -> (src, dst)
-    | _ -> raise (Unroutable (Printf.sprintf "edge n%d->n%d: endpoint unplaced" e.src e.dst))
+  (* Add [delta] to the usage of a hop list's distinct resources:
+     fan-out of one edge shares wires, so the same slot crossed twice
+     by one edge counts once (mirroring the MRRG's same-occupant
+     idempotent reserve).  [seen] stamps the slots this call counted. *)
+  let seen = Array.make nres 0 in
+  let pass = ref 0 in
+  let add_usage hops delta =
+    incr pass;
+    List.iter
+      (fun (h : Mapping.hop) ->
+        let r = res ~tile:h.tile ~dir:h.dir ~time:h.time in
+        if seen.(r) <> !pass then begin
+          seen.(r) <- !pass;
+          usage.(r) <- usage.(r) + delta
+        end)
+      hops
   in
   let compute () =
     let trivial, routable =
       List.partition_map
         (fun (e : Graph.edge) ->
-          let (src_tile, src_time), (dst_tile, dst_time) = endpoints e in
+          if not (is_placed state e.src && is_placed state e.dst) then
+            raise (Unroutable (Printf.sprintf "edge n%d->n%d: endpoint unplaced" e.src e.dst));
+          let src_tile = state.place_tile.(e.src) and src_time = state.place_time.(e.src) in
+          let dst_tile = state.place_tile.(e.dst) and dst_time = state.place_time.(e.dst) in
           let deadline = dst_time + edge_slack state e - 1 in
           if src_tile = dst_tile && deadline >= src_time then
             Left { Mapping.edge = e; hops = [] }
@@ -58,7 +81,6 @@ let route_all (p : Backend.pf_params) state =
     let arr = Array.of_list routable in
     let current = Array.make (Array.length arr) [] in
     let routed = Array.make (Array.length arr) false in
-    let present = ref p.present_base in
     let rec negotiate round =
       if round > p.max_rounds then
         Error
@@ -71,21 +93,9 @@ let route_all (p : Backend.pf_params) state =
         Array.iteri
           (fun i (e, src_tile, src_time, dst_tile, deadline) ->
             if routed.(i) then begin
-              sub_usage current.(i);
+              add_usage current.(i) (-1);
               routed.(i) <- false
             end;
-            let port_cost ~tile ~dir ~time =
-              (* occupancy is tracked here, not in the MRRG (ports are
-                 reserved only at commit), so [is_free] only rejects
-                 dead links *)
-              if not (Mrrg.is_free mrrg ~tile ~time (Mrrg.Port dir)) then None
-              else
-                let r = res ~tile ~dir ~time in
-                Some
-                  (route_extra_cost state ~tile ~time
-                  + (p.history_weight * history.(r))
-                  + (usage.(r) * !present))
-            in
             match
               Router.find_path ~scratch:state.scratch ~stats:state.stats ~port_cost mrrg
                 ~edge:e ~src_tile ~src_time ~dst_tile ~deadline
@@ -93,7 +103,7 @@ let route_all (p : Backend.pf_params) state =
             | Ok (hops, _) ->
               current.(i) <- hops;
               routed.(i) <- true;
-              add_usage hops
+              add_usage hops 1
             | Error msg -> raise (Unroutable msg))
           arr;
         let overflow =

@@ -280,16 +280,15 @@ let route ?(extra_cost = fun ~tile:_ ~time:_ -> 0) ?(hop_width = fun _ -> 1) ?sc
   result
 
 (* Congestion-cost variant of [expand] for negotiated routing: the
-   caller prices each output-port slot through [port_cost] (None =
+   caller prices each output-port slot through [port_cost] (-1 =
    forbidden, e.g. a dead link) instead of the router checking MRRG
    occupancy.  Nothing is reserved. *)
 let rec expand_priced sc mrrg port_cost ~tiles ~state ~cost ~tile ~time = function
   | [] -> ()
   | (dir, next_tile) :: rest ->
     (if Mrrg.allowed mrrg next_tile then
-       match port_cost ~tile ~dir ~time:(time + 1) with
-       | None -> ()
-       | Some extra ->
+       let extra = port_cost ~tile ~dir ~time:(time + 1) in
+       if extra >= 0 then
          relax sc
            (encode ~tiles next_tile (time + 1))
            (cost + hop_cost + extra)

@@ -49,7 +49,7 @@ val route :
 val find_path :
   ?scratch:scratch ->
   ?stats:Telemetry.t ->
-  port_cost:(tile:int -> dir:Iced_arch.Dir.t -> time:int -> int option) ->
+  port_cost:(tile:int -> dir:Iced_arch.Dir.t -> time:int -> int) ->
   Iced_mrrg.Mrrg.t ->
   edge:Graph.edge ->
   src_tile:int ->
@@ -60,8 +60,9 @@ val find_path :
 (** Cheapest path under caller-supplied port pricing, {e without}
     reserving anything.  [port_cost ~tile ~dir ~time] prices the output
     port slot a hop out of [tile] in direction [dir] arriving at [time]
-    would claim — [None] forbids it (dead link), [Some extra] is added
-    to {!hop_cost}.  This is the search the Pathfinder router runs once
+    would claim — [-1] forbids it (dead link), any [extra >= 0] is
+    added to {!hop_cost}; an int rather than an option, so pricing a
+    relaxation allocates nothing.  This is the search the Pathfinder router runs once
     per edge per negotiation round, with present/history congestion
     folded into the pricing; settled routes are reserved by the caller.
     [stats] counts the call and its expansions like {!route}. *)

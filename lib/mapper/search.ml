@@ -111,6 +111,7 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
         Some table
       end
     in
+    let slots = Engine.node_slots dfg in
     let state =
       {
         Engine.dfg;
@@ -118,24 +119,27 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
         tiles;
         memory_tiles;
         ii;
-        labels;
+        labels =
+          (let table = Array.make slots Dvfs.Normal in
+           List.iter (fun (id, level) -> table.(id) <- level) labels;
+           table);
         estimate = Estimate.build dfg ~ii ~margin ~topo;
         cycle_mates =
-          (let table = Hashtbl.create 32 in
+          (let table = Array.make slots [] in
            List.iter
              (fun (c : Analysis.cycle) ->
                List.iter
                  (fun id ->
-                   match Hashtbl.find_opt table id with
-                   | Some existing when List.length existing >= List.length c.members -> ()
-                   | _ -> Hashtbl.replace table id c.members)
+                   if List.length table.(id) < List.length c.members then
+                     table.(id) <- c.members)
                  c.members)
              (Analysis.recurrence_cycles dfg);
            table);
         mrrg = Mrrg.create ~tiles ~dead_links:req.dead_links req.cgra ~ii;
-        placements = Hashtbl.create 64;
+        place_tile = Array.make slots (-1);
+        place_time = Array.make slots 0;
         routes = [];
-        island_level = Hashtbl.create 16;
+        island_level = Array.make (Cgra.island_count req.cgra) None;
         committed;
         scratch;
         stats;
@@ -200,10 +204,7 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
     (match place_and_route state order with
     | Error _ as e -> e
     | Ok () ->
-      let placements =
-        Hashtbl.fold (fun node p acc -> (node, p) :: acc) state.Engine.placements []
-        |> List.sort compare
-      in
+      let placements = Engine.placements state in
       Ok
         {
           Mapping.dfg;

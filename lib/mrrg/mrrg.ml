@@ -12,7 +12,12 @@ type occupant = Op_node of int | Route of { src : int; dst : int }
    implementation produced).  Alongside the occupancy, two counter
    arrays keep the paper's utilization numerator O(1): [slot_busy]
    counts claimed resources per (tile, slot) and [tile_busy] counts
-   distinct busy slots per tile. *)
+   distinct busy slots per tile.
+
+   Island phases are cached per (island, modulo) and stamped with the
+   island's revision, which a reserve or release bumps whenever it
+   turns one of the island's slots busy or idle: invalidation stays
+   O(1), and an unchanged island is scanned at most once per modulo. *)
 
 let resources = 5
 
@@ -28,6 +33,8 @@ let res_of_index = function
   | 4 -> Port Dir.West
   | _ -> invalid_arg "Mrrg.res_of_index"
 
+type phase = [ `Broken | `Empty | `Phase of int ]
+
 type t = {
   cgra : Cgra.t;
   ii : int;
@@ -36,6 +43,10 @@ type t = {
   occ : occupant option array; (* (tile * ii + slot) * resources + res *)
   slot_busy : int array; (* tile * ii + slot -> claimed resources *)
   tile_busy : int array; (* tile -> distinct busy slots *)
+  island_rev : int array; (* island -> busy-slot set revision *)
+  mutable phase_width : int; (* moduli 1..phase_width have cache cells *)
+  mutable phase_stamp : int array; (* island * width + modulo - 1 -> revision, -1 = none *)
+  mutable phase_value : phase array; (* same index -> cached phase *)
 }
 
 let create ?tiles ?(dead_links = []) cgra ~ii =
@@ -65,6 +76,10 @@ let create ?tiles ?(dead_links = []) cgra ~ii =
     occ = Array.make (tile_count * ii * resources) None;
     slot_busy = Array.make (tile_count * ii) 0;
     tile_busy = Array.make tile_count 0;
+    island_rev = Array.make (Cgra.island_count cgra) 0;
+    phase_width = 0;
+    phase_stamp = [||];
+    phase_value = [||];
   }
 
 let cgra t = t.cgra
@@ -92,6 +107,13 @@ let occupant_to_string = function
   | Op_node id -> Printf.sprintf "op n%d" id
   | Route { src; dst } -> Printf.sprintf "route n%d->n%d" src dst
 
+(* A slot of [tile] turned busy ([delta] = 1) or idle (-1): count it
+   and stale the tile's island phases. *)
+let slot_toggled t tile delta =
+  t.tile_busy.(tile) <- t.tile_busy.(tile) + delta;
+  let island = Cgra.island_of t.cgra tile in
+  t.island_rev.(island) <- t.island_rev.(island) + 1
+
 let reserve t ~tile ~time res who =
   if not (allowed t tile) then Error (Printf.sprintf "tile %d outside the sub-fabric" tile)
   else if link_dead t tile res then
@@ -105,7 +127,7 @@ let reserve t ~tile ~time res who =
       t.occ.(i) <- Some who;
       let ts = (tile * t.ii) + slot t time in
       t.slot_busy.(ts) <- t.slot_busy.(ts) + 1;
-      if t.slot_busy.(ts) = 1 then t.tile_busy.(tile) <- t.tile_busy.(tile) + 1;
+      if t.slot_busy.(ts) = 1 then slot_toggled t tile 1;
       Ok ()
     | Some existing when existing = who -> Ok () (* fan-out shares the wire *)
     | Some existing ->
@@ -121,7 +143,7 @@ let release t ~tile ~time res =
     t.occ.(i) <- None;
     let ts = (tile * t.ii) + slot t time in
     t.slot_busy.(ts) <- t.slot_busy.(ts) - 1;
-    if t.slot_busy.(ts) = 0 then t.tile_busy.(tile) <- t.tile_busy.(tile) - 1
+    if t.slot_busy.(ts) = 0 then slot_toggled t tile (-1)
 
 let busy t ~tile =
   let acc = ref [] in
@@ -145,7 +167,7 @@ let busy_slot_count t ~tile = t.tile_busy.(tile)
 
 let tile_is_idle t tile = t.tile_busy.(tile) = 0
 
-let phase_of t ~tiles ~modulo =
+let scan_phase t island modulo =
   let phase = ref (-1) in
   let broken = ref false in
   List.iter
@@ -156,8 +178,28 @@ let phase_of t ~tiles ~modulo =
             let p = s mod modulo in
             if !phase = -1 then phase := p else if !phase <> p then broken := true
         done)
-    tiles;
+    (Cgra.island_tiles t.cgra island);
   if !broken then `Broken else if !phase = -1 then `Empty else `Phase !phase
+
+let island_phase t ~island ~modulo =
+  if modulo <= 0 then invalid_arg "Mrrg.island_phase: non-positive modulo";
+  if island < 0 || island >= Array.length t.island_rev then
+    invalid_arg "Mrrg.island_phase: unknown island";
+  if modulo > t.phase_width then begin
+    (* the cache grows to the largest modulo asked for; the old cells
+       are dropped and recomputed on demand *)
+    t.phase_width <- modulo;
+    t.phase_stamp <- Array.make (Array.length t.island_rev * modulo) (-1);
+    t.phase_value <- Array.make (Array.length t.island_rev * modulo) `Empty
+  end;
+  let k = (island * t.phase_width) + modulo - 1 in
+  if t.phase_stamp.(k) = t.island_rev.(island) then t.phase_value.(k)
+  else begin
+    let phase = scan_phase t island modulo in
+    t.phase_stamp.(k) <- t.island_rev.(island);
+    t.phase_value.(k) <- phase;
+    phase
+  end
 
 let clone t =
   {
@@ -165,6 +207,9 @@ let clone t =
     occ = Array.copy t.occ;
     slot_busy = Array.copy t.slot_busy;
     tile_busy = Array.copy t.tile_busy;
+    island_rev = Array.copy t.island_rev;
+    phase_stamp = Array.copy t.phase_stamp;
+    phase_value = Array.copy t.phase_value;
   }
 
 let resource_to_string = function Fu -> "fu" | Port d -> "port." ^ Dir.to_string d

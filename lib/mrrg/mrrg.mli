@@ -68,18 +68,25 @@ val busy_slot_count : t -> tile:int -> int
 (** [List.length (busy_slots t ~tile)] in O(1) — the placer's packing
     and capacity terms poll this once per candidate. *)
 
-val phase_of :
-  t -> tiles:int list -> modulo:int -> [ `Broken | `Empty | `Phase of int ]
-(** The clock phase (mod [modulo]) every busy slot across [tiles]
-    agrees on: [`Empty] when no tile has activity, [`Phase p] when all
-    busy slots fall on phase [p], [`Broken] on disagreement.
-    Disallowed tiles are skipped.  Allocation-free — the DVFS-aware
-    placer's phase-alignment query, per island. *)
+type phase = [ `Broken | `Empty | `Phase of int ]
+
+val island_phase : t -> island:int -> modulo:int -> phase
+(** The clock phase (mod [modulo]) every busy slot of the island's
+    tiles agrees on: [`Empty] when no tile has activity, [`Phase p]
+    when all busy slots fall on phase [p], [`Broken] on disagreement.
+    Disallowed tiles are skipped.  The DVFS-aware placer's
+    phase-alignment query, asked on every priced routing hop: the
+    answer is cached per (island, modulo) until a {!reserve} or
+    {!release} turns one of the island's slots busy or idle, so an
+    unchanged island is scanned at most once per modulo and a repeat
+    query allocates nothing.
+    @raise Invalid_argument on an unknown island or [modulo <= 0]. *)
 
 val tile_is_idle : t -> int -> bool
 
 val clone : t -> t
-(** Deep copy of the occupancy (for what-if placement trials). *)
+(** Deep copy of the occupancy and the phase cache (for what-if
+    placement trials). *)
 
 val pp : Format.formatter -> t -> unit
 (** Occupancy dump: one line per busy resource. *)

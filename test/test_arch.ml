@@ -173,16 +173,48 @@ let test_cgra_restrict () =
         (List.mem (Cgra.island_of cgra id) [ 0; 1 ]))
     tiles
 
+(* [island_of], [island_tiles] and [manhattan] compute in place; check
+   them against the row/col definitions on random fabrics and island
+   shapes (edge islands clipped when the shape does not divide the
+   fabric), and on the per-tile and reshaped variants. *)
 let prop_island_of_in_range =
   QCheck.Test.make ~name:"island_of within island_count" ~count:200
-    QCheck.(pair (2 -- 9) (2 -- 9))
-    (fun (rows, cols) ->
-      let c = Cgra.make ~island:(2, 2) ~rows ~cols () in
-      List.for_all
-        (fun id ->
+    QCheck.(quad (2 -- 9) (2 -- 9) (1 -- 4) (1 -- 4))
+    (fun (rows, cols, island_rows, island_cols) ->
+      let base =
+        Cgra.make ~island:(min island_rows rows, min island_cols cols) ~rows ~cols ()
+      in
+      let fabrics =
+        [
+          base;
+          Cgra.per_tile base;
+          Cgra.with_island base (min island_cols rows, min island_rows cols);
+        ]
+      in
+      let holds (c : Cgra.t) =
+        let ids = List.init (Cgra.tile_count c) Fun.id in
+        let grid_cols = (c.cols + c.island_cols - 1) / c.island_cols in
+        let island_by_position id =
+          let row, col = Cgra.position c id in
+          ((row / c.island_rows) * grid_cols) + (col / c.island_cols)
+        in
+        let island_ok id =
           let island = Cgra.island_of c id in
-          island >= 0 && island < Cgra.island_count c)
-        (List.init (Cgra.tile_count c) (fun i -> i)))
+          island >= 0 && island < Cgra.island_count c && island = island_by_position id
+        in
+        let tiles_ok island =
+          Cgra.island_tiles c island
+          = List.filter (fun id -> island_by_position id = island) ids
+        in
+        let manhattan_ok a b =
+          let ra, ca = Cgra.position c a and rb, cb = Cgra.position c b in
+          Cgra.manhattan c a b = abs (ra - rb) + abs (ca - cb)
+        in
+        List.for_all island_ok ids
+        && List.for_all tiles_ok (Cgra.islands c)
+        && List.for_all (fun a -> List.for_all (manhattan_ok a) ids) ids
+      in
+      List.for_all holds fabrics)
 
 let suite =
   [

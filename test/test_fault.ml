@@ -123,21 +123,39 @@ let test_mapper_avoids_dead_tiles () =
           r.Mapping.hops)
       m.Mapping.routes
 
+(* Every backend must route around dead links: the incremental router
+   through MRRG freedom, Pathfinder through the forbidding price its
+   port pricing gives a dead slot.  These links cost fir no II, so each
+   backend must also match its healthy-fabric II: a router that planned
+   through a dead link would only find out at commit and climb the II
+   ladder instead. *)
 let test_mapper_avoids_dead_links () =
   let k = kernel () in
   (* kill every eastward port of the westmost column's neighbours *)
   let dead = [ (0, Dir.East); (1, Dir.South); (6, Dir.East) ] in
-  match Mapper.map (Mapper.request ~dead_links:dead cgra) k.Iced_kernels.Kernel.dfg with
-  | Error e -> Alcotest.failf "mapping failed around dead links: %s" e
-  | Ok m ->
-    List.iter
-      (fun (r : Mapping.route) ->
+  List.iter
+    (fun backend ->
+      let name = Iced_mapper.Backend.to_string backend in
+      let healthy_ii =
+        match Mapper.map (Mapper.request ~backend cgra) k.Iced_kernels.Kernel.dfg with
+        | Ok m -> m.Mapping.ii
+        | Error e -> Alcotest.failf "%s: mapping failed on the healthy fabric: %s" name e
+      in
+      match
+        Mapper.map (Mapper.request ~backend ~dead_links:dead cgra) k.Iced_kernels.Kernel.dfg
+      with
+      | Error e -> Alcotest.failf "%s: mapping failed around dead links: %s" name e
+      | Ok m ->
+        Alcotest.(check int) (name ^ ": II around dead links") healthy_ii m.Mapping.ii;
         List.iter
-          (fun (h : Mapping.hop) ->
-            if List.mem (h.Mapping.tile, h.Mapping.dir) dead then
-              Alcotest.failf "routed through dead link tile %d" h.Mapping.tile)
-          r.Mapping.hops)
-      m.Mapping.routes
+          (fun (r : Mapping.route) ->
+            List.iter
+              (fun (h : Mapping.hop) ->
+                if List.mem (h.Mapping.tile, h.Mapping.dir) dead then
+                  Alcotest.failf "%s: routed through dead link tile %d" name h.Mapping.tile)
+              r.Mapping.hops)
+          m.Mapping.routes)
+    Iced_mapper.Backend.[ default; sa; pathfinder ]
 
 let test_mapper_all_tiles_dead () =
   let k = kernel () in

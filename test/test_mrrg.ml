@@ -102,6 +102,67 @@ let prop_reserve_release_roundtrip =
         Mrrg.release m ~tile ~time Mrrg.Fu;
         Mrrg.is_free m ~tile ~time Mrrg.Fu)
 
+(* The reference for [Mrrg.island_phase]: scan the island's busy slots
+   from scratch, through the public per-tile view. *)
+let scanned_phase m island modulo =
+  let cgra = Mrrg.cgra m in
+  let slots =
+    List.concat_map
+      (fun tile -> if Mrrg.allowed m tile then Mrrg.busy_slots m ~tile else [])
+      (Cgra.island_tiles cgra island)
+  in
+  match List.sort_uniq compare (List.map (fun s -> s mod modulo) slots) with
+  | [] -> `Empty
+  | [ p ] -> `Phase p
+  | _ -> `Broken
+
+let phases_agree m =
+  List.for_all
+    (fun island ->
+      List.for_all
+        (fun modulo -> Mrrg.island_phase m ~island ~modulo = scanned_phase m island modulo)
+        [ 2; 4 ])
+    (Cgra.islands (Mrrg.cgra m))
+
+(* Random fabrics and random reserve/release sequences over FU and port
+   slots: after every step the cached phase of every island equals a
+   fresh scan.  Then the original and a clone take diverging steps (the
+   clone undoes the sequence, the original replays it one tile over),
+   so a cache the two shared would serve one of them the other's
+   phase. *)
+let prop_island_phase_cache =
+  QCheck.Test.make ~name:"cached island phase equals a fresh scan" ~count:300
+    QCheck.(
+      pair
+        (quad (3 -- 7) (3 -- 7) bool (1 -- 8))
+        (list_of_size Gen.(1 -- 40) (quad bool small_nat (0 -- 15) (0 -- 4))))
+    (fun ((rows, cols, large, ii), steps) ->
+      let island = if large then (3, 3) else (2, 2) in
+      let cgra = Cgra.make ~island ~rows ~cols () in
+      let m = Mrrg.create cgra ~ii in
+      let resource = function 0 -> Mrrg.Fu | k -> Mrrg.Port (List.nth Dir.all (k - 1)) in
+      let step m (reserve, tile, time, r) =
+        let tile = tile mod Cgra.tile_count cgra in
+        if reserve then
+          ignore (Mrrg.reserve m ~tile ~time (resource r) (Mrrg.Op_node (time mod 3)))
+        else Mrrg.release m ~tile ~time (resource r)
+      in
+      phases_agree m
+      && List.for_all
+           (fun s ->
+             step m s;
+             phases_agree m)
+           steps
+      &&
+      let copy = Mrrg.clone m in
+      phases_agree copy
+      && List.for_all
+           (fun (reserve, tile, time, r) ->
+             step copy (not reserve, tile, time, r);
+             step m (reserve, tile + 1, time, r);
+             phases_agree copy && phases_agree m)
+           steps)
+
 let suite =
   [
     ("create invalid", `Quick, test_create_invalid);
@@ -114,4 +175,5 @@ let suite =
     ("sub-fabric restriction", `Quick, test_sub_fabric);
     ("clone independence", `Quick, test_clone_independent);
     QCheck_alcotest.to_alcotest prop_reserve_release_roundtrip;
+    QCheck_alcotest.to_alcotest prop_island_phase_cache;
   ]
