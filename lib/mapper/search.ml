@@ -250,7 +250,6 @@ let run ?stats (req : request) dfg =
               let min_col = List.fold_left (fun acc t -> min acc (col_of t)) max_int tiles in
               List.filter (fun t -> col_of t = min_col) tiles
           in
-          let trace = Sys.getenv_opt "ICED_MAPPER_TRACE" <> None in
           let start_ii = Analysis.min_ii dfg ~tiles:(List.length tiles) in
           let rec search ii last_err =
             if req.cancel () then
@@ -270,10 +269,7 @@ let run ?stats (req : request) dfg =
                     attempt_ii ~scratch ~stats:t req dfg ~tiles ~memory_tiles ~ii ~margin
                   with
                   | Ok mapping -> Ok mapping
-                  | Error msg ->
-                    if trace then
-                      Printf.eprintf "[mapper] II=%d margin=%d failed: %s\n%!" ii margin msg;
-                    margins req msg (position + 1) rest)
+                  | Error msg -> margins req msg (position + 1) rest)
               in
               let attempts =
                 (* The DVFS-aware cost model must never cost II (the paper
