@@ -22,4 +22,5 @@ let () =
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
       ("tenancy", Test_tenancy.suite);
+      ("wire", Test_wire.suite);
     ]
