@@ -1,3 +1,5 @@
+module J = Iced_util.Json
+
 type record = Outcome.status
 
 type recovery = {
@@ -55,27 +57,28 @@ let key ?(backend = "default") (p : Space.point) (kernel : Iced_kernels.Kernel.t
 let content_hash s = Iced_util.Fnv.(to_hex (hash_string s))
 
 (* ------------------------------------------------------------------ *)
-(* the flat-JSON subset the store emits                                *)
-
-let escape = Iced_util.Json.escape
+(* records                                                             *)
 
 let record_to_line key (r : record) =
-  let common = Printf.sprintf "\"v\":%d,\"h\":\"%s\",\"k\":\"%s\"" version (content_hash key) (escape key) in
-  match r with
-  | Outcome.Mapped m ->
-    Printf.sprintf
-      "{%s,\"s\":\"ok\",\"kernel\":\"%s\",\"ii\":%d,\"util\":%.17g,\"dvfs\":%.17g,\"power\":%.17g,\"thpt\":%.17g,\"energy\":%.17g,\"edp\":%.17g}"
-      common (escape m.Outcome.kernel) m.Outcome.ii m.Outcome.utilization m.Outcome.dvfs
-      m.Outcome.power_mw m.Outcome.throughput_mips m.Outcome.energy_nj m.Outcome.edp
-  | Outcome.Failed msg -> Printf.sprintf "{%s,\"s\":\"fail\",\"msg\":\"%s\"}" common (escape msg)
-  | Outcome.Timed_out -> Printf.sprintf "{%s,\"s\":\"timeout\"}" common
+  let fields =
+    match r with
+    | Outcome.Mapped m ->
+      [ ("s", J.Str "ok"); ("kernel", J.Str m.Outcome.kernel); ("ii", J.int m.Outcome.ii);
+        ("util", J.Num m.Outcome.utilization); ("dvfs", J.Num m.Outcome.dvfs);
+        ("power", J.Num m.Outcome.power_mw); ("thpt", J.Num m.Outcome.throughput_mips);
+        ("energy", J.Num m.Outcome.energy_nj); ("edp", J.Num m.Outcome.edp) ]
+    | Outcome.Failed msg -> [ ("s", J.Str "fail"); ("msg", J.Str msg) ]
+    | Outcome.Timed_out -> [ ("s", J.Str "timeout") ]
+  in
+  J.to_string
+    (J.Obj
+       (("v", J.int version) :: ("h", J.Str (content_hash key)) :: ("k", J.Str key) :: fields))
 
 (* Decode one stored payload back to a (key, record); [None] on any
    malformed input.  A checksummed frame whose payload fails here was
    written intentionally but by an unknown future writer — the loader
    skips the entry and keeps scanning (the frame itself is intact). *)
 let record_of_line line =
-  let module J = Iced_util.Json in
   match J.parse line with
   | Error _ -> None
   | Ok v -> (
@@ -124,8 +127,8 @@ let record_of_line line =
 (* length, newline, or checksum check, the loader truncates there, and *)
 (* every frame before it is replayed intact.                           *)
 
-let header = Printf.sprintf "{\"iced_explore_cache\":%d}" version
-let header_line = header ^ "\n"
+let header_line =
+  J.to_string (J.Obj [ ("iced_explore_cache", J.int version) ]) ^ "\n"
 
 let frame payload =
   Printf.sprintf "%08x:%s:%s\n" (String.length payload) (content_hash payload) payload

@@ -8,9 +8,10 @@
     strict {!Iced_util.Json} parser, so a malformed or truncated frame
     is rejected with a positioned error instead of being guessed at.
 
-    Result payloads are deterministic: floats are rendered at [%.17g]
-    (exact round-trip precision, matching the evaluation cache's
-    persistent tier), so the same request yields byte-identical
+    Result payloads are deterministic: they are rendered by
+    {!Iced_util.Json.to_string}, whose [%.17g] number rule round-trips
+    exactly (as the evaluation cache's persistent tier does), so the
+    same request yields byte-identical
     response lines whether it was computed fresh, served from cache,
     handled by the one-shot CLI, or by a daemon of any worker count.
     Only [stats] replies — snapshots of live SLO instruments — are
@@ -105,9 +106,9 @@ val default_point : Iced_explore.Space.point
 
 (** {2 Response rendering}
 
-    Responses are built directly as strings (the repository's JSON
-    emitters are all [Printf]-style); each helper returns one complete
-    line without the trailing newline. *)
+    Each helper builds its reply as a {!Iced_util.Json.value} and
+    returns it rendered: one complete line without the trailing
+    newline. *)
 
 val response_ping : id:string -> string
 val response_sleep : id:string -> ms:int -> string

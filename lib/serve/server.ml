@@ -135,12 +135,22 @@ let handle_fault ~id ~app ~seeds ~faults ~inputs ~window =
 (* the stats / health replies                                          *)
 
 let failures_json () =
-  let c name = Option.value ~default:0 (Metrics.counter_value name) in
-  Printf.sprintf
-    "{\"internal_errors\":%d,\"worker_restarts\":%d,\"deadline_expired\":%d,\
-     \"cache_recoveries\":%d}"
-    (c "serve.internal_errors") (c "serve.worker_restarts")
-    (c "serve.deadline_expired") (c "cache.recoveries")
+  let c name = J.int (Option.value ~default:0 (Metrics.counter_value name)) in
+  J.Obj
+    [ ("internal_errors", c "serve.internal_errors");
+      ("worker_restarts", c "serve.worker_restarts");
+      ("deadline_expired", c "serve.deadline_expired");
+      ("cache_recoveries", c "cache.recoveries") ]
+
+(* one latency histogram's summary, [null] before its first sample *)
+let latency_json name =
+  match Metrics.histogram_stats name with
+  | None -> J.Null
+  | Some (count, sum, _, _) ->
+    let q p = match Metrics.quantile name p with Some v -> J.Num v | None -> J.Null in
+    J.Obj
+      [ ("count", J.int count); ("mean_s", J.Num (sum /. float_of_int count));
+        ("p50_s", q 0.5); ("p99_s", q 0.99) ]
 
 (* per-tenant SLO series are discovered from the metrics registry (any
    histogram under the prefix exists because some request carried that
@@ -149,31 +159,17 @@ let tenant_prefix = "serve.latency.tenant."
 
 let tenants_json () =
   let series name =
-    match Metrics.histogram_stats name with
-    | None -> "null"
-    | Some (count, sum, _, _) ->
-      let q p =
-        match Metrics.quantile name p with
-        | Some v -> J.number v
-        | None -> "null"
-      in
-      Printf.sprintf "{\"count\":%d,\"mean_s\":%s,\"p50_s\":%s,\"p99_s\":%s}" count
-        (J.number (sum /. float_of_int count))
-        (q 0.5) (q 0.99)
+    let tenant =
+      String.sub name (String.length tenant_prefix)
+        (String.length name - String.length tenant_prefix)
+    in
+    let requests =
+      Option.value ~default:0 (Metrics.counter_value ("serve.req.tenant." ^ tenant))
+    in
+    J.Obj
+      [ ("tenant", J.Str tenant); ("requests", J.int requests); ("latency", latency_json name) ]
   in
-  Metrics.histogram_names ~prefix:tenant_prefix ()
-  |> List.map (fun name ->
-         let tenant =
-           String.sub name (String.length tenant_prefix)
-             (String.length name - String.length tenant_prefix)
-         in
-         let requests =
-           Option.value ~default:0 (Metrics.counter_value ("serve.req.tenant." ^ tenant))
-         in
-         Printf.sprintf "{\"tenant\":%s,\"requests\":%d,\"latency\":%s}" (J.quote tenant)
-           requests (series name))
-  |> String.concat ","
-  |> Printf.sprintf "[%s]"
+  J.Arr (List.map series (Metrics.histogram_names ~prefix:tenant_prefix ()))
 
 let observe_tenant (frame : Protocol.frame) latency_s =
   (match frame.Protocol.tenant with
@@ -191,56 +187,53 @@ let stats_line ~id ~workers ~queue_depth ~queue_length ~pending ~served ~shed ca
     if hits + misses = 0 then 0.0
     else float_of_int hits /. float_of_int (hits + misses)
   in
-  let latency =
-    match Metrics.histogram_stats "serve.latency_s" with
-    | None -> "null"
-    | Some (count, sum, _, _) ->
-      let q p =
-        match Metrics.quantile "serve.latency_s" p with
-        | Some v -> J.number v
-        | None -> "null"
-      in
-      Printf.sprintf "{\"count\":%d,\"mean_s\":%s,\"p50_s\":%s,\"p99_s\":%s}" count
-        (J.number (sum /. float_of_int count))
-        (q 0.5) (q 0.99)
-  in
-  Printf.sprintf
-    "{\"id\":%s,\"status\":\"ok\",\"op\":\"stats\",\"workers\":%d,\"queue_depth\":%d,\
-     \"queue_length\":%d,\"pending\":%d,\"served\":%d,\"shed\":%d,\
-     \"cache\":{\"size\":%d,\"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"hit_rate\":%s},\
-     \"latency\":%s,\"tenants\":%s,\"failures\":%s}"
-    (J.quote id) workers queue_depth queue_length pending served shed (Cache.size cache)
-    hits misses (Cache.coalesced cache) (J.number hit_rate) latency (tenants_json ())
-    (failures_json ())
+  J.to_string
+    (J.Obj
+       [ ("id", J.Str id); ("status", J.Str "ok"); ("op", J.Str "stats");
+         ("workers", J.int workers); ("queue_depth", J.int queue_depth);
+         ("queue_length", J.int queue_length); ("pending", J.int pending);
+         ("served", J.int served); ("shed", J.int shed);
+         ( "cache",
+           J.Obj
+             [ ("size", J.int (Cache.size cache)); ("hits", J.int hits);
+               ("misses", J.int misses); ("coalesced", J.int (Cache.coalesced cache));
+               ("hit_rate", J.Num hit_rate) ] );
+         ("latency", latency_json "serve.latency_s"); ("tenants", tenants_json ());
+         ("failures", failures_json ()) ])
 
 let cache_health_json cache =
   let tier, path =
     match Cache.path cache with
-    | Some p -> ("persistent", J.quote p)
-    | None -> ("memory", "null")
+    | Some p -> ("persistent", J.Str p)
+    | None -> ("memory", J.Null)
   in
   let recovery =
     match Cache.recovery cache with
-    | None -> "null"
+    | None -> J.Null
     | Some r ->
-      Printf.sprintf
-        "{\"kept_records\":%d,\"dropped_bytes\":%d,\"renamed_bak\":%b}"
-        r.Cache.kept_records r.Cache.dropped_bytes r.Cache.renamed_bak
+      J.Obj
+        [ ("kept_records", J.int r.Cache.kept_records);
+          ("dropped_bytes", J.int r.Cache.dropped_bytes);
+          ("renamed_bak", J.Bool r.Cache.renamed_bak) ]
   in
-  Printf.sprintf "{\"tier\":\"%s\",\"path\":%s,\"entries\":%d,\"recovery\":%s}" tier path
-    (Cache.size cache) recovery
+  J.Obj
+    [ ("tier", J.Str tier); ("path", path); ("entries", J.int (Cache.size cache)); ("recovery", recovery) ]
 
 let health_line ~id ~workers ~alive ~restarts ~restart_budget ~queue_depth ~queue_length
     cache =
   (* a pool with zero live workers cannot make progress; the serial
      once-mode path (workers = 0) is its own worker *)
   let healthy = workers = 0 || alive > 0 in
-  Printf.sprintf
-    "{\"id\":%s,\"status\":\"ok\",\"op\":\"health\",\"healthy\":%b,\
-     \"workers\":{\"total\":%d,\"alive\":%d,\"restarts\":%d,\"restart_budget\":%d},\
-     \"queue\":{\"length\":%d,\"depth\":%d},\"cache\":%s}"
-    (J.quote id) healthy workers alive restarts restart_budget queue_length queue_depth
-    (cache_health_json cache)
+  J.to_string
+    (J.Obj
+       [ ("id", J.Str id); ("status", J.Str "ok"); ("op", J.Str "health");
+         ("healthy", J.Bool healthy);
+         ( "workers",
+           J.Obj
+             [ ("total", J.int workers); ("alive", J.int alive); ("restarts", J.int restarts);
+               ("restart_budget", J.int restart_budget) ] );
+         ("queue", J.Obj [ ("length", J.int queue_length); ("depth", J.int queue_depth) ]);
+         ("cache", cache_health_json cache) ])
 
 (* ------------------------------------------------------------------ *)
 (* the exception barrier                                               *)

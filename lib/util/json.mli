@@ -1,35 +1,13 @@
-(** Minimal JSON encoding and strict decoding: the one escaping routine
-    and the one parser every hand-rolled JSON endpoint in the
-    repository shares.
+(** JSON for every document the repository emits or reads: one value
+    type, one printer, one parser.
 
-    The explore cache, the CLI's [--stats --json] payload, and the
-    observability exporters all write flat JSON with [Printf]; each used
-    to carry its own escaping (or lean on [%S], whose OCaml lexical
-    escapes — ["\123"], ["\xFF"] — are not JSON).  This module is the
-    single copy of that escaping, and — since the serving daemon must
-    decode request frames off the wire — of the inverse: a strict
-    recursive-descent parser with positioned error values, promoted
-    here from the obs test suite. *)
-
-(** {1 Encoding} *)
-
-val escape : string -> string
-(** Body of a JSON string literal for [s], without the surrounding
-    quotes: escapes ["\""], ["\\"], newline, carriage return, tab, and
-    all other control bytes below [0x20] as [\u00XX].  Every other byte
-    passes through unchanged. *)
-
-val quote : string -> string
-(** [quote s] is [escape s] wrapped in double quotes — a complete JSON
-    string literal. *)
-
-val number : float -> string
-(** A finite JSON number rendering of [f] ([%.17g]-precision round-trip
-    is not attempted; [%.6g] is used).  JSON has no [inf]/[nan]
-    literals, so non-finite values are rendered as quoted strings
-    (["\"inf\""], ["\"-inf\""], ["\"nan\""]) — lossy but parseable. *)
-
-(** {1 Decoding} *)
+    Serve replies and request frames, the explore cache's write-ahead
+    log, tenancy and cap-sweep reports, fault campaigns, traces,
+    metrics and the bench [BENCH_*.json] files are all built as a
+    {!value} and rendered by {!to_string}, so they share one string
+    escaper and one number rule.  The parser is strict, with
+    positioned errors, since the serving daemon decodes request frames
+    off the wire. *)
 
 type value =
   | Null
@@ -40,6 +18,31 @@ type value =
   | Obj of (string * value) list
       (** Members in document order; duplicate keys are kept as-is
           ({!member} returns the first). *)
+
+val int : int -> value
+(** [Num (float_of_int i)]: exact for [|i|] up to [2^53]. *)
+
+(** {1 Encoding} *)
+
+val to_string : value -> string
+(** Compact JSON (no whitespace), members in list order.  Strings are
+    rendered by {!quote} and numbers by {!number}, so
+    [parse (to_string v) = Ok v] for every [v] whose numbers are
+    finite. *)
+
+val quote : string -> string
+(** A complete JSON string literal for [s]: escapes ["\""], ["\\"],
+    newline, carriage return, tab, and all other control bytes below
+    [0x20] as [\u00XX].  Every other byte passes through unchanged. *)
+
+val number : float -> string
+(** The one number rule.  A finite [f] is printed with [%.17g], which
+    [float_of_string] reads back to the same double and which prints
+    an integral value below [1e17] the way [%d] would.  JSON has no [inf]/[nan]
+    literals, so non-finite values are rendered as the quoted strings
+    ["\"inf\""], ["\"-inf\""] and ["\"nan\""]: lossy but parseable. *)
+
+(** {1 Decoding} *)
 
 type error = { at : int;  (** byte offset of the failure *) reason : string }
 (** A positioned decode failure — the protocol layer's "malformed or
