@@ -17,6 +17,13 @@ module Kernel = Iced_kernels.Kernel
 module Registry = Iced_kernels.Registry
 module Table = Iced_util.Table
 module Stats = Iced_util.Stats
+module J = Iced_util.Json
+
+(* the BENCH_*.json files CI validates: one compact document per file *)
+let write_json path doc =
+  let oc = open_out path in
+  output_string oc (J.to_string doc ^ "\n");
+  close_out oc
 
 let kernels = Registry.standalone
 
@@ -675,15 +682,15 @@ let mapper_bench () =
               string_of_int stats.Mapper.expansions;
               string_of_int stats.Mapper.placements_tried ];
           Some
-            (Printf.sprintf
-               "{\"kernel\":%S,\"ii\":%d,\"wall_s\":%.6f,\"alloc_bytes\":%.0f,\
-                \"route_calls\":%d,\"alloc_per_route\":%.1f,\"expansions\":%d,\
-                \"placements_tried\":%d,\"attempts\":%d,\"ii_bumps\":%d}"
-               k.name m.Iced_mapper.Mapping.ii stats.Mapper.wall_s alloc
-               stats.Mapper.route_calls
-               (alloc /. float_of_int routes)
-               stats.Mapper.expansions stats.Mapper.placements_tried stats.Mapper.attempts
-               stats.Mapper.ii_bumps))
+            (J.Obj
+               [ ("kernel", J.Str k.name); ("ii", J.int m.Iced_mapper.Mapping.ii);
+                 ("wall_s", J.Num stats.Mapper.wall_s); ("alloc_bytes", J.Num alloc);
+                 ("route_calls", J.int stats.Mapper.route_calls);
+                 ("alloc_per_route", J.Num (alloc /. float_of_int routes));
+                 ("expansions", J.int stats.Mapper.expansions);
+                 ("placements_tried", J.int stats.Mapper.placements_tried);
+                 ("attempts", J.int stats.Mapper.attempts);
+                 ("ii_bumps", J.int stats.Mapper.ii_bumps) ]))
       selected
   in
   Table.print t;
@@ -739,30 +746,26 @@ let mapper_bench () =
                   (if ok then string_of_int ii else "-");
                   Printf.sprintf "%.1f" (stats.Mapper.wall_s *. 1e3);
                   string_of_bool deterministic ];
-              Printf.sprintf
-                "{\"backend\":%S,\"ok\":%b,\"ii\":%d,\"wall_s\":%.6f,\
-                 \"deterministic\":%b}"
-                name ok ii stats.Mapper.wall_s deterministic)
+              J.Obj
+                [ ("backend", J.Str name); ("ok", J.Bool ok); ("ii", J.int ii);
+                  ("wall_s", J.Num stats.Mapper.wall_s); ("deterministic", J.Bool deterministic) ])
             [ Iced_mapper.Backend.default; Iced_mapper.Backend.sa;
               Iced_mapper.Backend.pathfinder ]
         in
-        Printf.sprintf "{\"kernel\":%S,\"fabric\":\"16x16\",\"backends\":[%s]}" k.name
-          (String.concat "," per_backend))
+        J.Obj
+          [ ("kernel", J.Str k.name); ("fabric", J.Str "16x16"); ("backends", J.Arr per_backend) ])
       shoot_kernels
   in
   Table.print st;
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"iced-bench-mapper-v2\",\"router_alloc\":{\"iterations\":%d,\
-       \"fresh_bytes_per_route\":%.1f,\"shared_bytes_per_route\":%.1f,\
-       \"reduction_factor\":%.2f},\"kernels\":[%s],\"shootout\":[%s]}\n"
-      iterations fresh_bytes shared_bytes reduction
-      (String.concat "," kernel_rows)
-      (String.concat "," shoot_rows)
-  in
-  let oc = open_out "BENCH_mapper.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_mapper.json"
+    (J.Obj
+       [ ("schema", J.Str "iced-bench-mapper-v2");
+         ( "router_alloc",
+           J.Obj
+             [ ("iterations", J.int iterations); ("fresh_bytes_per_route", J.Num fresh_bytes);
+               ("shared_bytes_per_route", J.Num shared_bytes);
+               ("reduction_factor", J.Num reduction) ] );
+         ("kernels", J.Arr kernel_rows); ("shootout", J.Arr shoot_rows) ]);
   Printf.printf "wrote BENCH_mapper.json (%d kernels)\n" (List.length kernel_rows)
 
 (* ------------------------------------------------------------------ *)
@@ -922,19 +925,17 @@ let serve_bench () =
       ("dedup hit rate", Printf.sprintf "%.3f" hit_rate);
       ("shed", string_of_int shed) ];
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"iced-bench-serve-v1\",\"requests\":%d,\"responses\":%d,\
-       \"workers\":%d,\"queue_depth\":%d,\"window\":%d,\"wall_s\":%.6f,\
-       \"throughput_rps\":%.1f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\
-       \"dedup\":{\"hits\":%d,\"misses\":%d,\"coalesced\":%d,\"hit_rate\":%.4f},\
-       \"shed\":%d}\n"
-      requests n workers queue_depth window wall_s throughput (p50 *. 1e3) (p99 *. 1e3)
-      hits misses coalesced hit_rate shed
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_serve.json"
+    (J.Obj
+       [ ("schema", J.Str "iced-bench-serve-v1"); ("requests", J.int requests);
+         ("responses", J.int n); ("workers", J.int workers); ("queue_depth", J.int queue_depth);
+         ("window", J.int window); ("wall_s", J.Num wall_s); ("throughput_rps", J.Num throughput);
+         ("p50_ms", J.Num (p50 *. 1e3)); ("p99_ms", J.Num (p99 *. 1e3));
+         ( "dedup",
+           J.Obj
+             [ ("hits", J.int hits); ("misses", J.int misses); ("coalesced", J.int coalesced);
+               ("hit_rate", J.Num hit_rate) ] );
+         ("shed", J.int shed) ]);
   Printf.printf "wrote BENCH_serve.json (%d responses)\n" n
 
 (* ------------------------------------------------------------------ *)
@@ -966,7 +967,6 @@ let chaos () =
   let module Lineio = Iced_serve.Lineio in
   let module Cache = Iced_explore.Cache in
   let module Space = Iced_explore.Space in
-  let module J = Iced_util.Json in
   let getenv_int name default =
     match Option.bind (Sys.getenv_opt name) int_of_string_opt with
     | Some n when n > 0 -> n
@@ -1296,25 +1296,29 @@ let chaos () =
       ("probe p99 ms", Printf.sprintf "%.3f" (pct 0.99 *. 1e3));
       ("deterministic", string_of_bool deterministic) ];
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"iced-bench-chaos-v1\",\"seed\":%d,\"events\":%d,\
-       \"injected\":{\"error\":%d,\"kill\":%d,\"slow\":%d,\"disconnect\":%d,\
-       \"restart\":%d,\"corrupt\":%d,\"corrupt_skipped\":%d},\
-       \"recoveries\":{\"worker_restarts\":%d,\"daemon_restarts\":%d,\
-       \"cache_recoveries\":%d},\
-       \"probes\":{\"sent\":%d,\"answered_correctly\":%d},\
-       \"availability\":%.6f,\"deterministic\":%b,\
-       \"timing\":{\"wall_s\":%.3f,\"probe_p50_ms\":%.4f,\"probe_p99_ms\":%.4f}}\n"
-      seed events summary.ch_errors summary.ch_kills summary.ch_slows
-      summary.ch_disconnects summary.ch_restarts summary.ch_corruptions
-      summary.ch_skipped_corruptions summary.ch_kills summary.ch_daemon_restarts
-      summary.ch_cache_recoveries summary.ch_probes summary.ch_probes_ok availability
-      deterministic wall_s (pct 0.5 *. 1e3) (pct 0.99 *. 1e3)
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_chaos.json"
+    (J.Obj
+       [ ("schema", J.Str "iced-bench-chaos-v1"); ("seed", J.int seed); ("events", J.int events);
+         ( "injected",
+           J.Obj
+             [ ("error", J.int summary.ch_errors); ("kill", J.int summary.ch_kills);
+               ("slow", J.int summary.ch_slows); ("disconnect", J.int summary.ch_disconnects);
+               ("restart", J.int summary.ch_restarts); ("corrupt", J.int summary.ch_corruptions);
+               ("corrupt_skipped", J.int summary.ch_skipped_corruptions) ] );
+         ( "recoveries",
+           J.Obj
+             [ ("worker_restarts", J.int summary.ch_kills);
+               ("daemon_restarts", J.int summary.ch_daemon_restarts);
+               ("cache_recoveries", J.int summary.ch_cache_recoveries) ] );
+         ( "probes",
+           J.Obj
+             [ ("sent", J.int summary.ch_probes);
+               ("answered_correctly", J.int summary.ch_probes_ok) ] );
+         ("availability", J.Num availability); ("deterministic", J.Bool deterministic);
+         ( "timing",
+           J.Obj
+             [ ("wall_s", J.Num wall_s); ("probe_p50_ms", J.Num (pct 0.5 *. 1e3));
+               ("probe_p99_ms", J.Num (pct 0.99 *. 1e3)) ] ) ]);
   Printf.printf "wrote BENCH_chaos.json (%d events, availability %.4f)\n" events
     availability;
   Printf.printf "daemon log: %s\n" daemon_log;
@@ -1405,48 +1409,33 @@ let exact_bench () =
             string_of_int report.Exact.conflicts;
             string_of_int report.Exact.route_blocks;
             Printf.sprintf "%.1f" (wall *. 1e3) ];
-        let opt_field = function Some v -> string_of_int v | None -> "null" in
-        let backend_json =
-          String.concat ","
-            (List.map
-               (fun (name, ii) ->
-                 match ii with
-                 | Some hii ->
-                   let gap_field =
-                     match opt_ii with
-                     | Some oii -> Printf.sprintf ",\"gap\":%d" (hii - oii)
-                     | None -> ""
-                   in
-                   Printf.sprintf "{\"backend\":%S,\"ok\":true,\"ii\":%d%s}" name hii
-                     gap_field
-                 | None -> Printf.sprintf "{\"backend\":%S,\"ok\":false}" name)
-               per_backend)
+        let opt_field = function Some v -> J.int v | None -> J.Null in
+        let backend_json (name, ii) =
+          match ii with
+          | Some hii ->
+            J.Obj
+              ([ ("backend", J.Str name); ("ok", J.Bool true); ("ii", J.int hii) ]
+              @ match opt_ii with Some oii -> [ ("gap", J.int (hii - oii)) ] | None -> [])
+          | None -> J.Obj [ ("backend", J.Str name); ("ok", J.Bool false) ]
         in
-        Printf.sprintf
-          "{\"kernel\":%S,\"nodes\":%d,\"edges\":%d,\"verdict\":%S,\
-           \"optimal_ii\":%s,\"first_undecided\":%s,\"feasible_at\":%s,\
-           \"start_ii\":%d,\"conflicts\":%d,\"decisions\":%d,\"propagations\":%d,\
-           \"route_blocks\":%d,\"vars\":%d,\"clauses\":%d,\"witness_valid\":%b,\
-           \"wall_s\":%.6f,\"backends\":[%s]}"
-          k.name
-          (Iced_dfg.Graph.node_count k.dfg)
-          (Iced_dfg.Graph.edge_count k.dfg)
-          verdict (opt_field opt_ii) (opt_field first_undecided)
-          (opt_field feasible_at) report.Exact.start_ii report.Exact.conflicts
-          report.Exact.decisions report.Exact.propagations report.Exact.route_blocks
-          report.Exact.vars report.Exact.clauses witness_valid wall backend_json)
+        J.Obj
+          [ ("kernel", J.Str k.name); ("nodes", J.int (Iced_dfg.Graph.node_count k.dfg));
+            ("edges", J.int (Iced_dfg.Graph.edge_count k.dfg)); ("verdict", J.Str verdict);
+            ("optimal_ii", opt_field opt_ii); ("first_undecided", opt_field first_undecided);
+            ("feasible_at", opt_field feasible_at); ("start_ii", J.int report.Exact.start_ii);
+            ("conflicts", J.int report.Exact.conflicts);
+            ("decisions", J.int report.Exact.decisions);
+            ("propagations", J.int report.Exact.propagations);
+            ("route_blocks", J.int report.Exact.route_blocks); ("vars", J.int report.Exact.vars);
+            ("clauses", J.int report.Exact.clauses); ("witness_valid", J.Bool witness_valid);
+            ("wall_s", J.Num wall); ("backends", J.Arr (List.map backend_json per_backend)) ])
       selected
   in
   Table.print t;
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"iced-bench-exact-v1\",\"fabric\":\"6x6\",\
-       \"budget_conflicts\":%d,\"kernels\":[%s]}\n"
-      budget (String.concat "," rows)
-  in
-  let oc = open_out "BENCH_exact.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_exact.json"
+    (J.Obj
+       [ ("schema", J.Str "iced-bench-exact-v1"); ("fabric", J.Str "6x6");
+         ("budget_conflicts", J.int budget); ("kernels", J.Arr rows) ]);
   Printf.printf "wrote BENCH_exact.json (%d kernels)\n" (List.length rows);
   if !bad_witness <> [] then
     failwith
@@ -1530,20 +1519,16 @@ let tenancy_bench () =
           s1.Capsweep.rows;
         Capsweep.render Format.std_formatter s1;
         Format.pp_print_newline Format.std_formatter ();
-        j1)
+        Capsweep.sweep_value s1)
       counts
   in
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"iced-bench-tenancy-v1\",\"inputs\":%d,\"seed\":%d,\
-       \"workers_compared\":[1,4],\"deterministic\":true,\
-       \"single_tenant_identical\":%b,\"sweeps\":[%s]}\n"
-      inputs seed single_tenant_identical
-      (String.concat "," sweeps)
-  in
-  let oc = open_out "BENCH_tenancy.json" in
-  output_string oc json;
-  close_out oc;
+  write_json "BENCH_tenancy.json"
+    (J.Obj
+       [ ("schema", J.Str "iced-bench-tenancy-v1"); ("inputs", J.int inputs);
+         ("seed", J.int seed); ("workers_compared", J.Arr [ J.int 1; J.int 4 ]);
+         ("deterministic", J.Bool true);
+         ("single_tenant_identical", J.Bool single_tenant_identical);
+         ("sweeps", J.Arr sweeps) ]);
   Printf.printf "wrote BENCH_tenancy.json (%d sweeps)\n" (List.length sweeps)
 
 (* ------------------------------------------------------------------ *)

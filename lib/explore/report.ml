@@ -97,32 +97,23 @@ let csv outcomes =
   Buffer.contents b
 
 let json outcomes =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[";
-  let first = ref true in
-  List.iter
-    (fun (r : Outcome.point_result) ->
-      List.iter
-        (fun (kernel, status) ->
-          if not !first then Buffer.add_string b ",";
-          first := false;
-          Buffer.add_string b
-            (Printf.sprintf "\n  {\"point\":\"%s\",\"kernel\":\"%s\""
-               (Space.to_string r.point) kernel);
-          (match status with
-          | Outcome.Mapped m ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 ",\"status\":\"ok\",\"ii\":%d,\"utilization\":%.6g,\"avg_dvfs\":%.6g,\"power_mw\":%.6g,\"throughput_mips\":%.6g,\"energy_nj\":%.6g,\"edp\":%.6g"
-                 m.Outcome.ii m.Outcome.utilization m.Outcome.dvfs m.Outcome.power_mw
-                 m.Outcome.throughput_mips m.Outcome.energy_nj m.Outcome.edp)
-          | Outcome.Failed _ -> Buffer.add_string b ",\"status\":\"failed\""
-          | Outcome.Timed_out -> Buffer.add_string b ",\"status\":\"timeout\"");
-          Buffer.add_string b "}")
-        r.per_kernel)
-    outcomes;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  let module J = Iced_util.Json in
+  let row (r : Outcome.point_result) (kernel, status) =
+    let fields =
+      match status with
+      | Outcome.Mapped m ->
+        [ ("status", J.Str "ok"); ("ii", J.int m.Outcome.ii);
+          ("utilization", J.Num m.Outcome.utilization); ("avg_dvfs", J.Num m.Outcome.dvfs);
+          ("power_mw", J.Num m.Outcome.power_mw);
+          ("throughput_mips", J.Num m.Outcome.throughput_mips);
+          ("energy_nj", J.Num m.Outcome.energy_nj); ("edp", J.Num m.Outcome.edp) ]
+      | Outcome.Failed _ -> [ ("status", J.Str "failed") ]
+      | Outcome.Timed_out -> [ ("status", J.Str "timeout") ]
+    in
+    J.Obj (("point", J.Str (Space.to_string r.point)) :: ("kernel", J.Str kernel) :: fields)
+  in
+  J.to_string
+    (J.Arr (List.concat_map (fun (r : Outcome.point_result) -> List.map (row r) r.per_kernel) outcomes))
 
 let render outcomes =
   Table.render (frontier_table outcomes)

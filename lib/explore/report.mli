@@ -22,7 +22,8 @@ val csv : Outcome.point_result list -> string
 (** One row per (point, kernel), header included. *)
 
 val json : Outcome.point_result list -> string
-(** A JSON array of per-(point, kernel) objects — the CSV's fields. *)
+(** A one-line JSON array of per-(point, kernel) objects — the CSV's
+    fields at full [%.17g] precision. *)
 
 val render : Outcome.point_result list -> string
 (** The full human-readable report: frontier table followed by the

@@ -264,39 +264,29 @@ let csv t =
   Buffer.contents b
 
 let json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"app\": \"%s\",\n  \"policy\": \"%s\",\n  \"inputs\": %d,\n  \
-        \"faults_per_run\": %d,\n  \"upset_rate\": %.6g,\n  \
-        \"baseline_throughput_per_s\": %.6g,\n  \"runs\": ["
-       (app_to_string t.spec.app)
-       (Runner.policy_to_string t.spec.policy)
-       t.spec.inputs t.spec.faults_per_run t.spec.upset_rate
-       t.baseline.Runner.overall_throughput_per_s);
-  let first = ref true in
-  List.iter
-    (fun r ->
-      if not !first then Buffer.add_string b ",";
-      first := false;
-      let s = r.stats in
-      Buffer.add_string b
-        (Printf.sprintf
-           "\n    {\"seed\":%d,\"recovery\":\"%s\",\"plan\":\"%s\",\"injected\":%d,\
-            \"recoveries\":%d,\"remaps\":%d,\"islands_gated\":%d,\"levels_raised\":%d,\
-            \"dropped\":%d,\"replayed\":%d,\"recovery_us\":%.6g,\"mttr_us\":%.6g,\
-            \"offered\":%d,\"completed\":%d,\"throughput_per_s\":%.6g,\
-            \"retention\":%.6g,\"survived\":%b}"
-           r.seed
-           (Runner.recovery_to_string r.recovery)
-           (plan_summary r.plan) s.Runner.injected s.Runner.recoveries s.Runner.remaps
-           s.Runner.islands_gated s.Runner.levels_raised s.Runner.inputs_dropped
-           s.Runner.inputs_replayed s.Runner.recovery_time_us s.Runner.mttr_us
-           s.Runner.offered s.Runner.completed
-           r.totals.Runner.overall_throughput_per_s r.retention r.survived))
-    t.runs;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let module J = Iced_util.Json in
+  let run r =
+    let s = r.stats in
+    J.Obj
+      [ ("seed", J.int r.seed); ("recovery", J.Str (Runner.recovery_to_string r.recovery));
+        ("plan", J.Str (plan_summary r.plan)); ("injected", J.int s.Runner.injected);
+        ("recoveries", J.int s.Runner.recoveries); ("remaps", J.int s.Runner.remaps);
+        ("islands_gated", J.int s.Runner.islands_gated);
+        ("levels_raised", J.int s.Runner.levels_raised);
+        ("dropped", J.int s.Runner.inputs_dropped); ("replayed", J.int s.Runner.inputs_replayed);
+        ("recovery_us", J.Num s.Runner.recovery_time_us); ("mttr_us", J.Num s.Runner.mttr_us);
+        ("offered", J.int s.Runner.offered); ("completed", J.int s.Runner.completed);
+        ("throughput_per_s", J.Num r.totals.Runner.overall_throughput_per_s);
+        ("retention", J.Num r.retention); ("survived", J.Bool r.survived) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("app", J.Str (app_to_string t.spec.app));
+         ("policy", J.Str (Runner.policy_to_string t.spec.policy));
+         ("inputs", J.int t.spec.inputs); ("faults_per_run", J.int t.spec.faults_per_run);
+         ("upset_rate", J.Num t.spec.upset_rate);
+         ("baseline_throughput_per_s", J.Num t.baseline.Runner.overall_throughput_per_s);
+         ("runs", J.Arr (List.map run t.runs)) ])
 
 let render t =
   Table.render (table t) ^ "\n\n" ^ Table.render (summary_table t) ^ "\n"

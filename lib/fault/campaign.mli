@@ -72,7 +72,8 @@ val csv : t -> string
     counts. *)
 
 val json : t -> string
-(** JSON object with the spec, the baseline, and one entry per cell. *)
+(** One-line JSON object with the spec, the baseline, and one entry
+    per cell, rendered by {!Iced_util.Json.to_string}. *)
 
 val render : t -> string
 (** Human-readable report: the cell table, then the policy summary. *)

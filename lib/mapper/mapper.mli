@@ -126,7 +126,7 @@ val merge_stats : into:stats -> stats -> unit
 val per_ii_times : stats -> (int * float) list
 (** Per-II attempt wall time in ascending attempt order. *)
 
-val stats_to_json : stats -> string
+val stats_to_json : stats -> Iced_util.Json.value
 (** One flat JSON object (the CLI's [--stats --json] payload). *)
 
 val pp_stats : Format.formatter -> stats -> unit

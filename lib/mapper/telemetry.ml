@@ -82,16 +82,19 @@ let merge ~into src =
   into.wall_s <- into.wall_s +. src.wall_s
 
 let to_json t =
-  let per_ii_json =
-    String.concat ","
-      (List.map (fun (ii, s) -> Printf.sprintf "[%d,%.6f]" ii s) (per_ii t))
-  in
-  Printf.sprintf
-    "{\"attempts\":%d,\"ii_bumps\":%d,\"margin_position\":%d,\"placements_tried\":%d,\"route_calls\":%d,\"route_failures\":%d,\"expansions\":%d,\"sa_moves_accepted\":%d,\"sa_moves_rejected\":%d,\"sa_temp_steps\":%d,\"pf_rounds\":%d,\"pf_overflow\":%d,\"sat_conflicts\":%d,\"sat_decisions\":%d,\"sat_propagations\":%d,\"per_ii_s\":[%s],\"wall_s\":%.6f}"
-    t.attempts t.ii_bumps t.margin_position t.placements_tried t.route_calls
-    t.route_failures t.expansions t.sa_moves_accepted t.sa_moves_rejected
-    t.sa_temp_steps t.pf_rounds t.pf_overflow t.sat_conflicts t.sat_decisions
-    t.sat_propagations per_ii_json t.wall_s
+  let module J = Iced_util.Json in
+  J.Obj
+    [ ("attempts", J.int t.attempts); ("ii_bumps", J.int t.ii_bumps);
+      ("margin_position", J.int t.margin_position);
+      ("placements_tried", J.int t.placements_tried); ("route_calls", J.int t.route_calls);
+      ("route_failures", J.int t.route_failures); ("expansions", J.int t.expansions);
+      ("sa_moves_accepted", J.int t.sa_moves_accepted);
+      ("sa_moves_rejected", J.int t.sa_moves_rejected); ("sa_temp_steps", J.int t.sa_temp_steps);
+      ("pf_rounds", J.int t.pf_rounds); ("pf_overflow", J.int t.pf_overflow);
+      ("sat_conflicts", J.int t.sat_conflicts); ("sat_decisions", J.int t.sat_decisions);
+      ("sat_propagations", J.int t.sat_propagations);
+      ("per_ii_s", J.Arr (List.map (fun (ii, s) -> J.Arr [ J.int ii; J.Num s ]) (per_ii t)));
+      ("wall_s", J.Num t.wall_s) ]
 
 let pp fmt t =
   Format.fprintf fmt

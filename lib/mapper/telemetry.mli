@@ -49,7 +49,7 @@ val merge : into:t -> t -> unit
 (** Add counters and wall times of [src] into the sink ([margin_position]
     takes the max); used to aggregate sweeps and campaigns. *)
 
-val to_json : t -> string
+val to_json : t -> Iced_util.Json.value
 (** One flat JSON object (per-II times as [[ii, seconds]] pairs). *)
 
 val pp : Format.formatter -> t -> unit

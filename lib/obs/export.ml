@@ -3,24 +3,28 @@ module Json = Iced_util.Json
 let pid = 1
 
 let value_json = function
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Json.number f
-  | Trace.Bool b -> if b then "true" else "false"
-  | Trace.Str s -> Json.quote s
+  | Trace.Int i -> Json.int i
+  | Trace.Float f -> Json.Num f
+  | Trace.Bool b -> Json.Bool b
+  | Trace.Str s -> Json.Str s
 
-let args_json args =
-  match args with
-  | [] -> ""
-  | _ ->
-    Printf.sprintf ",\"args\":{%s}"
-      (String.concat ","
-         (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (Json.quote k) (value_json v)) args))
-
-let event_json ~ph ?(extra = "") (e : Trace.event) =
-  Printf.sprintf "{\"name\":%s,\"cat\":%s,\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s%s}"
-    (Json.quote e.Trace.name)
-    (Json.quote e.Trace.cat)
-    ph e.Trace.ts_us pid e.Trace.tid extra (args_json e.Trace.args)
+let event_json (e : Trace.event) =
+  let ph, extra =
+    match e.Trace.phase with
+    | Trace.Begin -> ("B", [])
+    | Trace.End -> ("E", [])
+    | Trace.Instant -> ("i", [ ("s", Json.Str "t") ])
+    | Trace.Counter -> ("C", [])
+  in
+  let args =
+    match e.Trace.args with
+    | [] -> []
+    | args -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, value_json v)) args)) ]
+  in
+  Json.Obj
+    ([ ("name", Json.Str e.Trace.name); ("cat", Json.Str e.Trace.cat); ("ph", Json.Str ph);
+       ("ts", Json.Num e.Trace.ts_us); ("pid", Json.int pid); ("tid", Json.int e.Trace.tid) ]
+    @ extra @ args)
 
 (* Balance the stream per tid: drop End events whose Begin was lost to
    a ring overwrite, and close still-open Begins with synthesized Ends
@@ -71,23 +75,10 @@ let balanced events =
   List.rev !kept @ synthesized
 
 let trace_json events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  List.iter
-    (fun (e : Trace.event) ->
-      if not !first then Buffer.add_string b ",";
-      first := false;
-      Buffer.add_string b "\n  ";
-      Buffer.add_string b
-        (match e.Trace.phase with
-        | Trace.Begin -> event_json ~ph:"B" e
-        | Trace.End -> event_json ~ph:"E" e
-        | Trace.Instant -> event_json ~ph:"i" ~extra:",\"s\":\"t\"" e
-        | Trace.Counter -> event_json ~ph:"C" e))
-    (balanced events);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.Arr (List.map event_json (balanced events)));
+         ("displayTimeUnit", Json.Str "ms") ])
 
 (* ------------------------------------------------------------------ *)
 (* flame summary                                                       *)
@@ -187,10 +178,10 @@ let capture ?out ?flame_out ?metrics_out f =
   let finish () =
     Trace.stop ();
     let evs = Trace.events () in
-    (match out with Some p -> write_file ~path:p (trace_json evs) | None -> ());
+    (match out with Some p -> write_file ~path:p (trace_json evs ^ "\n") | None -> ());
     (match flame_out with Some p -> write_file ~path:p (flame_summary evs) | None -> ());
     match metrics_out with
-    | Some p -> write_file ~path:p (Metrics.to_json ())
+    | Some p -> write_file ~path:p (Metrics.to_json () ^ "\n")
     | None -> ()
   in
   match f () with

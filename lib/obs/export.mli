@@ -7,7 +7,8 @@
     can run long after {!Trace.stop}. *)
 
 val trace_json : Trace.event list -> string
-(** The event stream as a complete trace-event JSON document:
+(** The event stream as a complete, compact trace-event JSON document
+    (no trailing newline):
     [{"traceEvents": [...], "displayTimeUnit": "ms"}].
 
     The emitted stream is always well-formed even when the ring buffer

@@ -133,34 +133,23 @@ let bucket_label i = Printf.sprintf "<=2^%d" (i + min_exp)
 let histogram_json h =
   let buckets =
     Array.to_list
-      (Array.mapi
-         (fun i n -> if n = 0 then None else Some (Printf.sprintf "%s:%d" (Json.quote (bucket_label i)) n))
-         h.buckets)
+      (Array.mapi (fun i n -> if n = 0 then None else Some (bucket_label i, Json.int n)) h.buckets)
     |> List.filter_map Fun.id
   in
-  Printf.sprintf "{\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"buckets\":{%s}}" h.count
-    (Json.number h.sum) (Json.number h.min_v) (Json.number h.max_v)
-    (String.concat "," buckets)
+  Json.Obj
+    [ ("count", Json.int h.count); ("sum", Json.Num h.sum); ("min", Json.Num h.min_v);
+      ("max", Json.Num h.max_v); ("buckets", Json.Obj buckets) ]
 
 let to_json () =
   locked (fun () ->
-      let counters =
-        sorted_bindings counters
-        |> List.map (fun (k, c) -> Printf.sprintf "%s:%d" (Json.quote k) !c)
+      let members render tbl =
+        Json.Obj (List.map (fun (k, v) -> (k, render v)) (sorted_bindings tbl))
       in
-      let gauges =
-        sorted_bindings gauges
-        |> List.map (fun (k, g) -> Printf.sprintf "%s:%s" (Json.quote k) (Json.number !g))
-      in
-      let histograms =
-        sorted_bindings histograms
-        |> List.map (fun (k, h) -> Printf.sprintf "%s:%s" (Json.quote k) (histogram_json h))
-      in
-      Printf.sprintf
-        "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":{%s}}\n"
-        (String.concat "," counters)
-        (String.concat "," gauges)
-        (String.concat "," histograms))
+      Json.to_string
+        (Json.Obj
+           [ ("counters", members (fun c -> Json.int !c) counters);
+             ("gauges", members (fun g -> Json.Num !g) gauges);
+             ("histograms", members histogram_json histograms) ]))
 
 let csv_escape s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then

@@ -61,7 +61,8 @@ val quantile : string -> float -> float option
 (** {2 Export} *)
 
 val to_json : unit -> string
-(** The whole registry as one JSON object with [counters], [gauges],
+(** The whole registry as one compact JSON object (no trailing
+    newline) with [counters], [gauges],
     and [histograms] members, names sorted, each histogram rendered as
     [{count, sum, min, max, buckets: {"<=2^k": n, ...}}] (only
     non-empty buckets appear).  Deterministic given the same updates. *)

@@ -82,34 +82,33 @@ let run ?(fractions = default_fractions)
 (* ------------------------------------------------------------------ *)
 (* rendering *)
 
-let num x = Printf.sprintf "%.17g" x
+let sweep_value s =
+  let module J = Iced_util.Json in
+  let row r =
+    J.Obj
+      [ ("fraction", J.Num r.fraction); ("cap_mw", J.Num r.cap_mw);
+        ("policy", J.Str (Allocator.policy_to_string r.policy)); ("tenants", J.int r.tenants);
+        ("throughput_per_s", J.Num r.throughput_per_s); ("fairness", J.Num r.fairness);
+        ("peak_power_mw", J.Num r.peak_power_mw); ("cap_ok", J.Bool r.cap_ok);
+        ("throttled_rounds", J.int r.throttled_rounds);
+        ("infeasible_rounds", J.int r.infeasible_rounds);
+        ("starved", J.int (List.length r.starved)); ("evictions", J.int r.evictions);
+        ("pareto", J.Bool r.pareto) ]
+  in
+  J.Obj
+    [ ("schema", J.Str "iced-tenancy-capsweep-v1"); ("tenants", J.int s.tenants);
+      ("max_envelope_mw", J.Num s.max_envelope_mw);
+      ("floor_envelope_mw", J.Num s.floor_envelope_mw); ("rows", J.Arr (List.map row s.rows)) ]
 
-let row_json r =
-  Printf.sprintf
-    "{\"fraction\":%s,\"cap_mw\":%s,\"policy\":\"%s\",\"tenants\":%d,\"throughput_per_s\":%s,\"fairness\":%s,\"peak_power_mw\":%s,\"cap_ok\":%b,\"throttled_rounds\":%d,\"infeasible_rounds\":%d,\"starved\":%d,\"evictions\":%d,\"pareto\":%b}"
-    (num r.fraction) (num r.cap_mw)
-    (Allocator.policy_to_string r.policy)
-    r.tenants
-    (num r.throughput_per_s)
-    (num r.fairness) (num r.peak_power_mw) r.cap_ok r.throttled_rounds
-    r.infeasible_rounds (List.length r.starved) r.evictions r.pareto
-
-let sweep_json s =
-  Printf.sprintf
-    "{\"schema\":\"iced-tenancy-capsweep-v1\",\"tenants\":%d,\"max_envelope_mw\":%s,\"floor_envelope_mw\":%s,\"rows\":[%s]}"
-    s.tenants (num s.max_envelope_mw) (num s.floor_envelope_mw)
-    (String.concat "," (List.map row_json s.rows))
+let sweep_json s = Iced_util.Json.to_string (sweep_value s)
 
 let csv_header =
   "fraction,cap_mw,policy,tenants,throughput_per_s,fairness,peak_power_mw,cap_ok,throttled_rounds,infeasible_rounds,starved,evictions,pareto"
 
 let row_csv r =
-  Printf.sprintf "%s,%s,%s,%d,%s,%s,%s,%b,%d,%d,%d,%d,%b" (num r.fraction)
-    (num r.cap_mw)
+  Printf.sprintf "%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%b,%d,%d,%d,%d,%b" r.fraction r.cap_mw
     (Allocator.policy_to_string r.policy)
-    r.tenants
-    (num r.throughput_per_s)
-    (num r.fairness) (num r.peak_power_mw) r.cap_ok r.throttled_rounds
+    r.tenants r.throughput_per_s r.fairness r.peak_power_mw r.cap_ok r.throttled_rounds
     r.infeasible_rounds (List.length r.starved) r.evictions r.pareto
 
 let sweep_csv s =

@@ -48,8 +48,12 @@ val run :
     hook).  @raise Invalid_argument on empty [fractions] or
     [policies]. *)
 
+val sweep_value : sweep -> Iced_util.Json.value
+(** The sweep as a JSON document ([iced-tenancy-capsweep-v1]), for
+    embedding in a larger one. *)
+
 val sweep_json : sweep -> string
-(** One-line JSON ([iced-tenancy-capsweep-v1]), floats [%.17g]. *)
+(** {!sweep_value} rendered by {!Iced_util.Json.to_string}. *)
 
 val sweep_csv : sweep -> string
 

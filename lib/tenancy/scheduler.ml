@@ -445,74 +445,37 @@ let starved report =
 (* ------------------------------------------------------------------ *)
 (* rendering *)
 
-let num x = Printf.sprintf "%.17g" x
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let json_ids ids = "[" ^ String.concat "," (List.map json_string ids) ^ "]"
-
 let report_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"iced-tenancy-report-v1\"";
-  Buffer.add_string b
-    (Printf.sprintf ",\"policy\":%s"
-       (json_string (Allocator.policy_to_string r.policy)));
-  Buffer.add_string b
-    (match r.cap_mw with
-    | None -> ",\"cap_mw\":null"
-    | Some c -> Printf.sprintf ",\"cap_mw\":%s" (num c));
-  Buffer.add_string b (Printf.sprintf ",\"tenants\":%d" r.tenant_count);
-  Buffer.add_string b
-    (Printf.sprintf ",\"aggregate_throughput_per_s\":%s"
-       (num r.aggregate_throughput_per_s));
-  Buffer.add_string b (Printf.sprintf ",\"fairness\":%s" (num r.fairness));
-  Buffer.add_string b (Printf.sprintf ",\"peak_power_mw\":%s" (num r.peak_power_mw));
-  Buffer.add_string b (Printf.sprintf ",\"cap_ok\":%b" r.cap_ok);
-  Buffer.add_string b (Printf.sprintf ",\"infeasible_rounds\":%d" r.infeasible_rounds);
-  Buffer.add_string b (Printf.sprintf ",\"total_span_us\":%s" (num r.total_span_us));
-  Buffer.add_string b (Printf.sprintf ",\"faults_injected\":%d" r.faults_injected);
-  Buffer.add_string b (Printf.sprintf ",\"reallocations\":%d" r.reallocations);
-  Buffer.add_string b (Printf.sprintf ",\"evictions\":%d" r.evictions);
-  Buffer.add_string b ",\"rounds\":[";
-  List.iteri
-    (fun i rr ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"round\":%d,\"span_us\":%s,\"power_mw\":%s,\"desired_mw\":%s,\"granted_mw\":%s,\"throttled\":%s,\"infeasible\":%b,\"reallocated\":%s}"
-           rr.round (num rr.span_us) (num rr.power_mw) (num rr.desired_mw)
-           (num rr.granted_mw) (json_ids rr.throttled) rr.infeasible
-           (json_ids rr.reallocated)))
-    r.rounds;
-  Buffer.add_string b "],\"tenant_summaries\":[";
-  List.iteri
-    (fun i (s : tenant_summary) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\":%s,\"qos\":%s,\"islands\":%d,\"offered\":%d,\"completed\":%d,\"throughput_per_s\":%s,\"mean_power_mw\":%s,\"energy_uj\":%s,\"throttled_rounds\":%d,\"evicted\":%b}"
-           (json_string s.id)
-           (json_string (Qos.to_string s.qos))
-           s.islands s.offered s.completed
-           (num s.throughput_per_s) (num s.mean_power_mw) (num s.energy_uj)
-           s.throttled_rounds s.evicted))
-    r.tenants;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Iced_util.Json in
+  let ids l = J.Arr (List.map (fun id -> J.Str id) l) in
+  let round rr =
+    J.Obj
+      [ ("round", J.int rr.round); ("span_us", J.Num rr.span_us);
+        ("power_mw", J.Num rr.power_mw); ("desired_mw", J.Num rr.desired_mw);
+        ("granted_mw", J.Num rr.granted_mw); ("throttled", ids rr.throttled);
+        ("infeasible", J.Bool rr.infeasible); ("reallocated", ids rr.reallocated) ]
+  in
+  let tenant (s : tenant_summary) =
+    J.Obj
+      [ ("id", J.Str s.id); ("qos", J.Str (Qos.to_string s.qos)); ("islands", J.int s.islands);
+        ("offered", J.int s.offered); ("completed", J.int s.completed);
+        ("throughput_per_s", J.Num s.throughput_per_s);
+        ("mean_power_mw", J.Num s.mean_power_mw); ("energy_uj", J.Num s.energy_uj);
+        ("throttled_rounds", J.int s.throttled_rounds); ("evicted", J.Bool s.evicted) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("schema", J.Str "iced-tenancy-report-v1");
+         ("policy", J.Str (Allocator.policy_to_string r.policy));
+         ("cap_mw", match r.cap_mw with None -> J.Null | Some c -> J.Num c);
+         ("tenants", J.int r.tenant_count);
+         ("aggregate_throughput_per_s", J.Num r.aggregate_throughput_per_s);
+         ("fairness", J.Num r.fairness); ("peak_power_mw", J.Num r.peak_power_mw);
+         ("cap_ok", J.Bool r.cap_ok); ("infeasible_rounds", J.int r.infeasible_rounds);
+         ("total_span_us", J.Num r.total_span_us); ("faults_injected", J.int r.faults_injected);
+         ("reallocations", J.int r.reallocations); ("evictions", J.int r.evictions);
+         ("rounds", J.Arr (List.map round r.rounds));
+         ("tenant_summaries", J.Arr (List.map tenant r.tenants)) ])
 
 let render fmt r =
   Format.fprintf fmt "policy %s   cap %s   tenants %d@."

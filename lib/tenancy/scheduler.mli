@@ -121,8 +121,9 @@ val starved : report -> string list
     progress); a regression tripwire. *)
 
 val report_json : report -> string
-(** One-line JSON ([iced-tenancy-report-v1]), floats rendered [%.17g]
-    so byte comparison implies numeric identity. *)
+(** One-line JSON ([iced-tenancy-report-v1]) rendered by
+    {!Iced_util.Json.to_string}, whose [%.17g] number rule makes byte
+    comparison imply numeric identity. *)
 
 val render : Format.formatter -> report -> unit
 (** Human-readable fleet summary table. *)
