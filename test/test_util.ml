@@ -1,4 +1,5 @@
-(* Unit and property tests for Iced_util: Rng, Stats, Heap, Table. *)
+(* Unit and property tests for Iced_util: Rng, Stats, Heap, Table, Fnv,
+   Json. *)
 
 open Iced_util
 
@@ -305,6 +306,81 @@ let prop_json_parse_total =
   QCheck.Test.make ~count:500 ~name:"json parse never raises" QCheck.string (fun s ->
       match Json.parse s with Ok _ | Error _ -> true)
 
+(* ---------------- Json printer ---------------- *)
+
+(* finite doubles, weighted towards the awkward ones: signed zeros, the
+   extremes of the exponent range, and integral values on both sides of
+   the [string_of_int] fast path *)
+let finite_float_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map float_of_int int;
+        oneofl
+          [ 0.0; -0.0; 1e-300; -1e-300; 1e300; 4.9e-324; max_float; 1e15; -1e15; 1e16;
+            0.1; 1.0 /. 3.0; 42.0 ] ])
+
+let json_tree_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null; map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) finite_float_gen;
+                 map (fun s -> Json.Str s) (string_size (0 -- 8)) ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair (string_size (0 -- 6)) (self (n / 4)))) ) ]))
+
+let prop_json_to_string_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"json to_string/parse roundtrip"
+    (QCheck.make ~print:Json.to_string json_tree_gen)
+    (fun v ->
+      let s = Json.to_string v in
+      (* [=] equates the two zeros; the re-rendering tells them apart *)
+      match Json.parse s with Ok v' -> v' = v && Json.to_string v' = s | Error _ -> false)
+
+let prop_json_number_is_17g =
+  QCheck.Test.make ~count:1000 ~name:"json number is %.17g for finite floats"
+    (QCheck.make ~print:string_of_float finite_float_gen)
+    (fun f -> Json.number f = Printf.sprintf "%.17g" f)
+
+let test_json_integral_numbers () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string) (string_of_int i) (Printf.sprintf "%d" i)
+        (Json.to_string (Json.int i)))
+    [ 0; 1; -1; 42; 1_000_000; -123_456_789; 1 lsl 52; 1 lsl 53; -(1 lsl 53) ];
+  Alcotest.(check string) "negative zero keeps its sign" "-0" (Json.to_string (Json.Num (-0.0)));
+  Alcotest.(check string) "fractions at full precision" "0.10000000000000001"
+    (Json.to_string (Json.Num 0.1))
+
+let test_json_non_finite () =
+  let doc = Json.to_string (Json.Arr [ Json.Num infinity; Json.Num neg_infinity; Json.Num nan ]) in
+  Alcotest.(check string) "quoted" "[\"inf\",\"-inf\",\"nan\"]" doc;
+  Alcotest.(check bool) "and parseable" true (Result.is_ok (Json.parse doc))
+
+let test_json_member_order () =
+  Alcotest.(check string) "document order, duplicates kept"
+    "{\"b\":1,\"a\":null,\"b\":[true,{}],\"c\":[]}"
+    (Json.to_string
+       (Json.Obj
+          [ ("b", Json.Num 1.0); ("a", Json.Null);
+            ("b", Json.Arr [ Json.Bool true; Json.Obj [] ]); ("c", Json.Arr []) ]))
+
+let test_json_control_bytes () =
+  Alcotest.(check string) "short escapes, \\u00XX below 0x20, the rest raw"
+    "\"q\\\"\\\\\\n\\r\\t\\u0000\\u0001\\u001f\x7f\xc3\xa9\""
+    (Json.to_string (Json.Str "q\"\\\n\r\t\x00\x01\x1f\x7f\xc3\xa9"))
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -345,4 +421,10 @@ let suite =
     ("json error position", `Quick, test_json_error_position);
     QCheck_alcotest.to_alcotest prop_json_quote_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_parse_total;
+    QCheck_alcotest.to_alcotest prop_json_to_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_number_is_17g;
+    ("json integral floats print as ints", `Quick, test_json_integral_numbers);
+    ("json non-finite floats print quoted", `Quick, test_json_non_finite);
+    ("json member order kept", `Quick, test_json_member_order);
+    ("json control bytes escaped", `Quick, test_json_control_bytes);
   ]
