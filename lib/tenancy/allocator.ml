@@ -49,7 +49,8 @@ type t = {
 
 let create ?cap_mw ?(params = Params.default) ~policy ~fabric members =
   (match cap_mw with
-  | Some c when c <= 0.0 -> invalid_arg "Allocator.create: non-positive cap"
+  | Some c when not (Float.is_finite c && c > 0.0) ->
+    invalid_arg "Allocator.create: cap must be finite and positive"
   | _ -> ());
   let rec dup = function
     | [] -> None

@@ -84,8 +84,8 @@ val create :
 (** An allocator for [members] sharing [fabric] under [cap_mw]
     milliwatts (no cap when omitted).  [fabric] prices the shared SPM
     and controller-overhead envelope terms.
-    @raise Invalid_argument on a non-positive cap or duplicate member
-    ids. *)
+    @raise Invalid_argument on a cap that is not finite and positive
+    (NaN and infinity included) or duplicate member ids. *)
 
 val cap_mw : t -> float option
 (** The configured cap, if any. *)

@@ -168,6 +168,18 @@ let test_fault_reallocation_across_tenants () =
   Alcotest.(check string) "fault run byte-identical on rerun" (Scheduler.report_json r)
     (Scheduler.report_json r2)
 
+(* ---------------- cap validation ---------------- *)
+
+let test_create_rejects_bad_caps () =
+  let fabric = Cgra.make ~rows:4 ~cols:4 () in
+  let members = [ Allocator.member ~id:"a" ~qos:Qos.Standard [ ("k", 4) ] ] in
+  List.iter
+    (fun cap ->
+      match Allocator.create ~cap_mw:cap ~policy:Allocator.Fair_share ~fabric members with
+      | _ -> Alcotest.failf "accepted cap %g" cap
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity; 0.0; -1.0 ]
+
 let suite =
   [
     ("qos and policy name round-trips", `Quick, test_name_roundtrips);
@@ -178,4 +190,5 @@ let suite =
     ("caps below the floor flag exhaustion", `Quick, test_cap_exhaustion_flagged);
     ("strict priority shields premium, fair-share spreads", `Quick, test_strict_priority_protects_premium);
     ("faults reallocate islands across tenants", `Quick, test_fault_reallocation_across_tenants);
+    ("create rejects non-finite and non-positive caps", `Quick, test_create_rejects_bad_caps);
   ]
