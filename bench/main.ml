@@ -18,6 +18,7 @@ module Registry = Iced_kernels.Registry
 module Table = Iced_util.Table
 module Stats = Iced_util.Stats
 module J = Iced_util.Json
+module Clock = Iced_obs.Clock
 
 (* the BENCH_*.json files CI validates: one compact document per file *)
 let write_json path doc =
@@ -876,7 +877,7 @@ let serve_bench () =
       { Server.workers; queue_depth; cache; restart_budget = 8;
         default_deadline_ms = None }
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   List.iter
     (fun frame ->
       Mutex.lock mu;
@@ -888,7 +889,7 @@ let serve_bench () =
       ignore (Server.submit server frame))
     frames;
   Server.shutdown server;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Clock.now () -. t0 in
   let n = !recorded in
   let lat = Array.sub latencies 0 n in
   Array.sort compare lat;
@@ -1018,7 +1019,7 @@ let chaos () =
     | pid -> pid
   in
   let connect ~socket_path =
-    let give_up = Unix.gettimeofday () +. 30.0 in
+    let give_up = Clock.now () +. 30.0 in
     let rec go () =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
@@ -1028,7 +1029,7 @@ let chaos () =
         (Lineio.reader fd, Lineio.writer fd, fd)
       | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
         Unix.close fd;
-        if Unix.gettimeofday () > give_up then failf "daemon never came up";
+        if Clock.now () > give_up then failf "daemon never came up";
         ignore (Unix.sleepf 0.01);
         go ()
     in
@@ -1118,9 +1119,9 @@ let chaos () =
         else { Protocol.id; request = Protocol.Ping; deadline_ms = None; tenant = None; qos = None }
       in
       let want = expect frame in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       let got = roundtrip frame in
-      probe_lat := (Unix.gettimeofday () -. t0) :: !probe_lat;
+      probe_lat := (Clock.now () -. t0) :: !probe_lat;
       s :=
         { !s with
           ch_probes = !s.ch_probes + 1;
@@ -1241,7 +1242,7 @@ let chaos () =
           if not recovered then failf "corrupt event %s: health reported no recovery" id;
           s := { !s with ch_cache_recoveries = !s.ch_cache_recoveries + 1 })
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     for k = 0 to events - 1 do
       event k;
       probe k
@@ -1255,7 +1256,7 @@ let chaos () =
     (match Unix.waitpid [] !pid with
     | _, Unix.WEXITED 0 -> ()
     | _, _ -> failf "final daemon did not exit 0");
-    let wall_s = Unix.gettimeofday () -. t0 in
+    let wall_s = Clock.now () -. t0 in
     (try Sys.remove cache_path with Sys_error _ -> ());
     (!s, wall_s, !probe_lat)
   in
@@ -1363,9 +1364,9 @@ let exact_bench () =
   let rows =
     List.map
       (fun (k : Kernel.t) ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         let report = Exact.certify ~budget_conflicts:budget fabric k.dfg in
-        let wall = Unix.gettimeofday () -. t0 in
+        let wall = Clock.now () -. t0 in
         let verdict, opt_ii, first_undecided, feasible_at =
           match report.Exact.verdict with
           | Exact.Optimal ii -> ("optimal", Some ii, None, None)

@@ -26,9 +26,10 @@ type stats = {
 }
 
 module Obs = Iced_obs.Trace
+module Clock = Iced_obs.Clock
 
 let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   (* keys are computed once, up front: they embed the unrolled DFG's
      statistics, which are not free to recompute *)
   let backend_name = Iced_mapper.Backend.to_string config.backend in
@@ -62,12 +63,8 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
   let cached_pairs = List.length pairs - Array.length jobs in
   Iced_obs.Metrics.incr ~by:cached_pairs "sweep.cache.hits";
   Iced_obs.Metrics.incr ~by:(Array.length jobs) "sweep.cache.misses";
-  if trace && Obs.enabled () then
-    Obs.counter ~cat:"sweep" ~name:"cache"
-      [
-        ("hits", float_of_int cached_pairs);
-        ("misses", float_of_int (Array.length jobs));
-      ];
+  Obs.counter ~cat:"sweep" ~name:"cache" (fun () ->
+      [ ("hits", float_of_int cached_pairs); ("misses", float_of_int (Array.length jobs)) ]);
   let completed = ref 0 in
   let on_item _ =
     incr completed;
@@ -85,28 +82,24 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
      span whose tid is the worker's domain id. *)
   let evaluate (i, (point, kernel, _key)) =
     let body () =
-      let started = Unix.gettimeofday () in
-      let cancel () = Unix.gettimeofday () -. started > config.timeout_s in
+      let started = Clock.now () in
+      let cancel () = Clock.now () -. started > config.timeout_s in
       Outcome.evaluate_kernel ~cancel ~backend:config.backend ~stats:job_stats.(i)
         ~params:config.params point kernel
     in
     if not trace then Obs.suppress body
-    else if not (Obs.enabled ()) then body ()
     else
-      Obs.with_span
-        ~args:
+      Obs.span
+        ~args:(fun () ->
           [
             ("point", Obs.Str (Space.to_string point));
             ("kernel", Obs.Str kernel.Iced_kernels.Kernel.name);
-          ]
-        ~cat:"sweep" ~name:"point"
-        (fun () ->
-          let r = body () in
-          (match r with
-          | Outcome.Mapped m -> Obs.span_arg "ii" (Obs.Int m.Outcome.ii)
-          | Outcome.Failed msg -> Obs.span_arg "error" (Obs.Str msg)
-          | Outcome.Timed_out -> Obs.span_arg "timeout" (Obs.Bool true));
-          r)
+          ])
+        ~result:(function
+          | Outcome.Mapped m -> [ ("ii", Obs.Int m.Outcome.ii) ]
+          | Outcome.Failed msg -> [ ("error", Obs.Str msg) ]
+          | Outcome.Timed_out -> [ ("timeout", Obs.Bool true) ])
+        ~cat:"sweep" ~name:"point" body
   in
   let fresh =
     Pool.map ~workers:config.workers ~on_item evaluate
@@ -149,7 +142,7 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
       cached = cached_pairs;
       failed = count (function Outcome.Failed _ -> true | _ -> false);
       timed_out = count (function Outcome.Timed_out -> true | _ -> false);
-      elapsed_s = Unix.gettimeofday () -. t0;
+      elapsed_s = Clock.now () -. t0;
     }
   in
   (outcomes, stats)
@@ -157,21 +150,17 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
 let run ?(config = default_config) ?mapper_stats ?(trace = true) ~cache points kernels =
   let body () = run_untraced ~config ?mapper_stats ~trace ~cache points kernels in
   if not trace then Obs.suppress body
-  else if not (Obs.enabled ()) then body ()
   else
-    Obs.with_span
-      ~args:
+    Obs.span
+      ~args:(fun () ->
         [
           ("points", Obs.Int (List.length points));
           ("kernels", Obs.Int (List.length kernels));
           ("workers", Obs.Int config.workers);
-        ]
-      ~cat:"sweep" ~name:"run"
-      (fun () ->
-        let ((_, stats) as r) = body () in
-        Obs.span_arg "fresh" (Obs.Int stats.fresh);
-        Obs.span_arg "cached" (Obs.Int stats.cached);
-        r)
+        ])
+      ~result:(fun (_, stats) ->
+        [ ("fresh", Obs.Int stats.fresh); ("cached", Obs.Int stats.cached) ])
+      ~cat:"sweep" ~name:"run" body
 
 let pp_stats fmt s =
   Format.fprintf fmt

@@ -154,21 +154,15 @@ let run ?(progress = fun _ _ -> ()) spec =
       in
       let total = Array.length jobs in
       let cell (seed, recovery) =
-        if not (Iced_obs.Trace.enabled ()) then
-          cell_untraced spec ~cgra ~partition ~baseline ~inputs (seed, recovery)
-        else
-          Iced_obs.Trace.with_span
-            ~args:
-              [
-                ("seed", Iced_obs.Trace.Int seed);
-                ("recovery", Iced_obs.Trace.Str (Runner.recovery_to_string recovery));
-              ]
-            ~cat:"campaign" ~name:"cell"
-            (fun () ->
-              let r = cell_untraced spec ~cgra ~partition ~baseline ~inputs (seed, recovery) in
-              Iced_obs.Trace.span_arg "retention" (Iced_obs.Trace.Float r.retention);
-              Iced_obs.Trace.span_arg "survived" (Iced_obs.Trace.Bool r.survived);
-              r)
+        let module Obs = Iced_obs.Trace in
+        Obs.span
+          ~args:(fun () ->
+            [ ("seed", Obs.Int seed);
+              ("recovery", Obs.Str (Runner.recovery_to_string recovery)) ])
+          ~result:(fun r ->
+            [ ("retention", Obs.Float r.retention); ("survived", Obs.Bool r.survived) ])
+          ~cat:"campaign" ~name:"cell"
+          (fun () -> cell_untraced spec ~cgra ~partition ~baseline ~inputs (seed, recovery))
       in
       let finished = ref 0 in
       let on_item _ =

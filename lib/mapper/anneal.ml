@@ -152,16 +152,11 @@ let place_untraced (p : Backend.sa_params) state order =
     Ok ()
 
 let place p state order =
-  if not (Obs.enabled ()) then place_untraced p state order
-  else
-    Obs.with_span
-      ~args:[ ("seed", Obs.Int p.Backend.seed) ]
-      ~cat:"mapper" ~name:"sa"
-      (fun () ->
-        let r = place_untraced p state order in
-        Obs.span_arg "accepted" (Obs.Int state.stats.Telemetry.sa_moves_accepted);
-        Obs.span_arg "temp_steps" (Obs.Int state.stats.Telemetry.sa_temp_steps);
-        (match r with
-        | Ok () -> ()
-        | Error msg -> Obs.span_arg "error" (Obs.Str msg));
-        r)
+  Obs.span
+    ~args:(fun () -> [ ("seed", Obs.Int p.Backend.seed) ])
+    ~result:(fun r ->
+      ("accepted", Obs.Int state.stats.Telemetry.sa_moves_accepted)
+      :: ("temp_steps", Obs.Int state.stats.Telemetry.sa_temp_steps)
+      :: (match r with Ok () -> [] | Error msg -> [ ("error", Obs.Str msg) ]))
+    ~cat:"mapper" ~name:"sa"
+    (fun () -> place_untraced p state order)

@@ -2,6 +2,7 @@ open Iced_arch
 open Iced_dfg
 module Mrrg = Iced_mrrg.Mrrg
 module Obs = Iced_obs.Trace
+module Clock = Iced_obs.Clock
 module Solver = Iced_sat.Solver
 
 type verdict =
@@ -350,7 +351,7 @@ let decide_ii ?stats cgra g ~ii ~budget ~seed (c : cegar) =
 
 let certify ?(max_ii = 16) ?(budget_conflicts = 100_000) ?(seed = 0) ?stats
     cgra g =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let c = { route_blocks = 0; vars = 0; clauses = 0 } in
   let conflicts = ref 0
   and decisions = ref 0
@@ -389,25 +390,21 @@ let certify ?(max_ii = 16) ?(budget_conflicts = 100_000) ?(seed = 0) ?stats
               ~verdict:(verdict_of ~first_undecided ~feasible_at:None)
               ~witness:None ~per_ii
           else begin
-            let one () =
-              decide_ii ?stats cgra g ~ii ~budget:budget_conflicts ~seed c
-            in
             let outcome, (st : Solver.stats) =
-              if not (Obs.enabled ()) then one ()
-              else
-                Obs.with_span
-                  ~args:[ ("ii", Obs.Int ii) ]
-                  ~cat:"exact" ~name:"ii"
-                  (fun () ->
-                    let ((o, st) as r) = one () in
-                    Obs.span_arg "conflicts" (Obs.Int st.Solver.conflicts);
-                    Obs.span_arg "outcome"
-                      (Obs.Str
-                         (match o with
-                         | `Feasible _ -> "feasible"
-                         | `Refuted -> "refuted"
-                         | `Budget -> "budget"));
-                    r)
+              Obs.span
+                ~args:(fun () -> [ ("ii", Obs.Int ii) ])
+                ~result:(fun (o, (st : Solver.stats)) ->
+                  [
+                    ("conflicts", Obs.Int st.conflicts);
+                    ( "outcome",
+                      Obs.Str
+                        (match o with
+                        | `Feasible _ -> "feasible"
+                        | `Refuted -> "refuted"
+                        | `Budget -> "budget") );
+                  ])
+                ~cat:"exact" ~name:"ii"
+                (fun () -> decide_ii ?stats cgra g ~ii ~budget:budget_conflicts ~seed c)
             in
             conflicts := !conflicts + st.Solver.conflicts;
             decisions := !decisions + st.Solver.decisions;
@@ -434,24 +431,21 @@ let certify ?(max_ii = 16) ?(budget_conflicts = 100_000) ?(seed = 0) ?stats
       end
   in
   let report =
-    if not (Obs.enabled ()) then compute ()
-    else
-      Obs.with_span
-        ~args:[ ("nodes", Obs.Int (Graph.node_count g)) ]
-        ~cat:"exact" ~name:"certify"
-        (fun () ->
-          let r = compute () in
+    Obs.span
+      ~args:(fun () -> [ ("nodes", Obs.Int (Graph.node_count g)) ])
+      ~result:(fun r ->
+        [
           (match r.verdict with
-          | Optimal ii -> Obs.span_arg "optimal_ii" (Obs.Int ii)
-          | Infeasible -> Obs.span_arg "verdict" (Obs.Str "infeasible")
-          | Unknown { first_undecided; _ } ->
-            Obs.span_arg "first_undecided" (Obs.Int first_undecided));
-          Obs.span_arg "conflicts" (Obs.Int r.conflicts);
-          r)
+          | Optimal ii -> ("optimal_ii", Obs.Int ii)
+          | Infeasible -> ("verdict", Obs.Str "infeasible")
+          | Unknown { first_undecided; _ } -> ("first_undecided", Obs.Int first_undecided));
+          ("conflicts", Obs.Int r.conflicts);
+        ])
+      ~cat:"exact" ~name:"certify" compute
   in
   (match stats with
   | Some (t : Telemetry.t) ->
-    t.Telemetry.wall_s <- t.Telemetry.wall_s +. (Unix.gettimeofday () -. t0)
+    t.Telemetry.wall_s <- t.Telemetry.wall_s +. (Clock.now () -. t0)
   | None -> ());
   Iced_obs.Metrics.incr "exact.certify_runs";
   Iced_obs.Metrics.incr ~by:report.conflicts "exact.sat_conflicts";

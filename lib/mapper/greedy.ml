@@ -131,17 +131,11 @@ let place_node_untraced ~route state node =
   first_success "no tile sets" tile_sets
 
 let place_node ~route state node =
-  if not (Obs.enabled ()) then place_node_untraced ~route state node
-  else
-    Obs.with_span
-      ~args:[ ("node", Obs.Int node) ]
-      ~cat:"mapper" ~name:"place"
-      (fun () ->
-        match place_node_untraced ~route state node with
-        | Ok () as r -> r
-        | Error msg as r ->
-          Obs.span_arg "error" (Obs.Str msg);
-          r)
+  Obs.span
+    ~args:(fun () -> [ ("node", Obs.Int node) ])
+    ~result:(function Ok () -> [] | Error msg -> [ ("error", Obs.Str msg) ])
+    ~cat:"mapper" ~name:"place"
+    (fun () -> place_node_untraced ~route state node)
 
 let place_all ~route state order =
   let rec place = function

@@ -148,12 +148,11 @@ let route_all (p : Backend.pf_params) state =
     in
     try negotiate 1 with Unroutable msg -> Error msg
   in
-  if not (Obs.enabled ()) then compute ()
-  else
-    Obs.with_span ~cat:"mapper" ~name:"pathfinder" (fun () ->
-        let r = compute () in
-        Obs.span_arg "rounds" (Obs.Int state.stats.Telemetry.pf_rounds);
-        (match r with
-        | Ok () -> Obs.span_arg "ok" (Obs.Bool true)
-        | Error msg -> Obs.span_arg "error" (Obs.Str msg));
-        r)
+  Obs.span
+    ~result:(fun r ->
+      ("rounds", Obs.Int state.stats.Telemetry.pf_rounds)
+      ::
+      (match r with
+      | Ok () -> [ ("ok", Obs.Bool true) ]
+      | Error msg -> [ ("error", Obs.Str msg) ]))
+    ~cat:"mapper" ~name:"pathfinder" compute

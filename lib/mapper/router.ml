@@ -255,24 +255,14 @@ let route ?(extra_cost = fun ~tile:_ ~time:_ -> 0) ?(hop_width = fun _ -> 1) ?sc
     end
   in
   let result =
-    if not (Iced_obs.Trace.enabled ()) then compute ()
-    else
-      Iced_obs.Trace.with_span
-        ~args:
-          [
-            ( "edge",
-              Iced_obs.Trace.Str
-                (Printf.sprintf "n%d->n%d" edge.Graph.src edge.Graph.dst) );
-          ]
-        ~cat:"mapper" ~name:"route"
-        (fun () ->
-          match compute () with
-          | Ok (_, cost) as r ->
-            Iced_obs.Trace.span_arg "cost" (Iced_obs.Trace.Int cost);
-            r
-          | Error _ as r ->
-            Iced_obs.Trace.span_arg "ok" (Iced_obs.Trace.Bool false);
-            r)
+    let module Obs = Iced_obs.Trace in
+    Obs.span
+      ~args:(fun () ->
+        [ ("edge", Obs.Str (Printf.sprintf "n%d->n%d" edge.Graph.src edge.Graph.dst)) ])
+      ~result:(function
+        | Ok (_, cost) -> [ ("cost", Obs.Int cost) ]
+        | Error _ -> [ ("ok", Obs.Bool false) ])
+      ~cat:"mapper" ~name:"route" compute
   in
   (match (result, stats) with
   | Error _, Some (s : Telemetry.t) -> s.route_failures <- s.route_failures + 1

@@ -2,6 +2,7 @@ open Iced_arch
 open Iced_dfg
 module Mrrg = Iced_mrrg.Mrrg
 module Obs = Iced_obs.Trace
+module Clock = Iced_obs.Clock
 
 type strategy = Cost.strategy = Conventional | Dvfs_aware
 
@@ -222,7 +223,7 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
 let run ?stats (req : request) dfg =
   let t = Telemetry.create () in
   let scratch = Router.create_scratch () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let compute () =
     match Graph.validate dfg with
     | Error msg -> Error ("invalid DFG: " ^ msg)
@@ -259,7 +260,7 @@ let run ?stats (req : request) dfg =
                 (Printf.sprintf "no mapping up to II=%d (last: %s)" req.max_ii last_err)
             else begin
               let attempt_block () =
-              let ii_t0 = Unix.gettimeofday () in
+              let ii_t0 = Clock.now () in
               let rec margins req last_err position = function
                 | [] -> Error last_err
                 | margin :: rest -> (
@@ -298,37 +299,34 @@ let run ?stats (req : request) dfg =
                   | Error msg -> try_attempts msg rest)
               in
               let outcome = try_attempts last_err attempts in
-              Telemetry.add_ii_time t ~ii (Unix.gettimeofday () -. ii_t0);
+              Telemetry.add_ii_time t ~ii (Clock.now () -. ii_t0);
               outcome
               in
               let outcome =
-                if not (Obs.enabled ()) then attempt_block ()
-                else
-                  Obs.with_span
-                    ~args:[ ("ii", Obs.Int ii) ]
-                    ~cat:"mapper" ~name:"ii"
-                    (fun () ->
-                      let o = attempt_block () in
-                      (match o with
-                      | Ok _ -> Obs.span_arg "ok" (Obs.Bool true)
-                      | Error msg -> Obs.span_arg "error" (Obs.Str msg));
-                      Obs.counter ~cat:"mapper" ~name:"telemetry"
+                Obs.span
+                  ~args:(fun () -> [ ("ii", Obs.Int ii) ])
+                  ~result:(function
+                    | Ok _ -> [ ("ok", Obs.Bool true) ]
+                    | Error msg -> [ ("error", Obs.Str msg) ])
+                  ~cat:"mapper" ~name:"ii"
+                  (fun () ->
+                    let o = attempt_block () in
+                    Obs.counter ~cat:"mapper" ~name:"telemetry" (fun () ->
                         [
                           ("attempts", float_of_int t.Telemetry.attempts);
                           ("placements", float_of_int t.Telemetry.placements_tried);
                           ("route_calls", float_of_int t.Telemetry.route_calls);
                           ("expansions", float_of_int t.Telemetry.expansions);
-                        ];
-                      o)
+                        ]);
+                    o)
               in
               match outcome with
               | Ok mapping -> Ok mapping
               | Error msg ->
                 t.Telemetry.ii_bumps <- t.Telemetry.ii_bumps + 1;
-                if Obs.enabled () then
-                  Obs.instant
-                    ~args:[ ("from_ii", Obs.Int ii); ("reason", Obs.Str msg) ]
-                    ~cat:"mapper" ~name:"ii_bump" ();
+                Obs.instant
+                  ~args:(fun () -> [ ("from_ii", Obs.Int ii); ("reason", Obs.Str msg) ])
+                  ~cat:"mapper" ~name:"ii_bump" ();
                 search (ii + 1) msg
             end
           in
@@ -337,23 +335,18 @@ let run ?stats (req : request) dfg =
       end
   in
   let result =
-    if not (Obs.enabled ()) then compute ()
-    else
-      Obs.with_span
-        ~args:
-          [
-            ("nodes", Obs.Int (Graph.node_count dfg));
-            ("backend", Obs.Str (Backend.to_string req.backend));
-          ]
-        ~cat:"mapper" ~name:"map"
-        (fun () ->
-          let r = compute () in
-          (match r with
-          | Ok m -> Obs.span_arg "ii" (Obs.Int m.Mapping.ii)
-          | Error msg -> Obs.span_arg "error" (Obs.Str msg));
-          r)
+    Obs.span
+      ~args:(fun () ->
+        [
+          ("nodes", Obs.Int (Graph.node_count dfg));
+          ("backend", Obs.Str (Backend.to_string req.backend));
+        ])
+      ~result:(function
+        | Ok m -> [ ("ii", Obs.Int m.Mapping.ii) ]
+        | Error msg -> [ ("error", Obs.Str msg) ])
+      ~cat:"mapper" ~name:"map" compute
   in
-  t.Telemetry.wall_s <- Unix.gettimeofday () -. t0;
+  t.Telemetry.wall_s <- Clock.now () -. t0;
   (match stats with Some sink -> Telemetry.merge ~into:sink t | None -> ());
   Iced_obs.Metrics.incr "mapper.runs";
   Iced_obs.Metrics.incr ~by:t.Telemetry.attempts "mapper.attempts";

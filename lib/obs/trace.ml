@@ -31,7 +31,6 @@ type buffer = {
   ev_args : (string * value) list array;
   mutable pushed : int;
   mutable open_spans : int list; (* seq of open Begin events, innermost first *)
-  mutable last_ts : float; (* per-domain monotonicity clamp *)
   mutable registered : bool;
 }
 
@@ -49,8 +48,7 @@ let enabled () = Atomic.get on && not !(Domain.DLS.get suppress_key)
 
 let reset_buffer b =
   b.pushed <- 0;
-  b.open_spans <- [];
-  b.last_ts <- 0.0
+  b.open_spans <- []
 
 let make_buffer () =
   let capacity = max 16 (Atomic.get default_capacity) in
@@ -64,7 +62,6 @@ let make_buffer () =
     ev_args = Array.make capacity [];
     pushed = 0;
     open_spans = [];
-    last_ts = 0.0;
     registered = false;
   }
 
@@ -90,20 +87,12 @@ let my_buffer () =
   end;
   b
 
-(* Monotonic-enough clock: wall time re-zeroed at {!start}, clamped so
-   timestamps never step backwards within a domain (NTP slew, clock
-   granularity).  Microseconds, the trace-event unit. *)
-let now_us b =
-  let t = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6 in
-  let t = if t < b.last_ts then b.last_ts else t in
-  b.last_ts <- t;
-  t
-
 let push b phase ~cat ~name args =
   let seq = b.pushed in
   let slot = seq mod b.capacity in
   b.ev_phase.(slot) <- phase;
-  b.ev_ts.(slot) <- now_us b;
+  (* microseconds since {!start}, the trace-event unit *)
+  b.ev_ts.(slot) <- (Clock.now () -. Atomic.get epoch) *. 1e6;
   b.ev_cat.(slot) <- cat;
   b.ev_name.(slot) <- name;
   b.ev_args.(slot) <- args;
@@ -125,7 +114,7 @@ let clear () =
 
 let start () =
   clear ();
-  Atomic.set epoch (Unix.gettimeofday ());
+  Atomic.set epoch (Clock.now ());
   Atomic.set on true
 
 let stop () = Atomic.set on false
@@ -145,15 +134,13 @@ let dropped () =
 (* ------------------------------------------------------------------ *)
 (* recording                                                           *)
 
-let begin_span ?(args = []) ~cat ~name () =
-  let b = my_buffer () in
-  let seq = push b 0 ~cat ~name args in
-  b.open_spans <- seq :: b.open_spans
+let eval = function Some f -> f () | None -> []
 
 (* End events are recorded whenever a span is open — even if the
    collector was switched off mid-span — so recorded Begins stay
-   balanced. *)
-let end_span () =
+   balanced.  [extra] joins the Begin's args if its slot survived ring
+   wrap. *)
+let end_span extra =
   match !(Domain.DLS.get buffer_key) with
   | None -> ()
   | Some b -> (
@@ -164,47 +151,37 @@ let end_span () =
       let slot = seq mod b.capacity in
       (* close with the Begin's cat/name if its slot survived *)
       let cat, name =
-        if b.pushed - seq <= b.capacity then (b.ev_cat.(slot), b.ev_name.(slot))
+        if b.pushed - seq <= b.capacity then begin
+          if extra <> [] then b.ev_args.(slot) <- b.ev_args.(slot) @ extra;
+          (b.ev_cat.(slot), b.ev_name.(slot))
+        end
         else ("", "")
       in
       ignore (push b 1 ~cat ~name []))
 
-let with_span ?args ~cat ~name f =
+let span ?args ?result ~cat ~name f =
   if not (enabled ()) then f ()
   else begin
-    begin_span ?args ~cat ~name ();
+    let b = my_buffer () in
+    let seq = push b 0 ~cat ~name (eval args) in
+    b.open_spans <- seq :: b.open_spans;
     match f () with
     | v ->
-      end_span ();
+      end_span (match result with Some r -> r v | None -> []);
       v
     | exception e ->
-      end_span ();
+      end_span [];
       raise e
   end
 
-let span_arg key v =
-  if enabled () then begin
-    match !(Domain.DLS.get buffer_key) with
-    | None -> ()
-    | Some b -> (
-      match b.open_spans with
-      | [] -> ()
-      | seq :: _ ->
-        (* skip if the Begin's slot has been overwritten by ring wrap *)
-        if b.pushed - seq <= b.capacity then begin
-          let slot = seq mod b.capacity in
-          b.ev_args.(slot) <- b.ev_args.(slot) @ [ (key, v) ]
-        end)
-  end
-
-let instant ?(args = []) ~cat ~name () =
-  if enabled () then ignore (push (my_buffer ()) 2 ~cat ~name args)
+let instant ?args ~cat ~name () =
+  if enabled () then ignore (push (my_buffer ()) 2 ~cat ~name (eval args))
 
 let counter ~cat ~name series =
   if enabled () then
     ignore
       (push (my_buffer ()) 3 ~cat ~name
-         (List.map (fun (k, v) -> (k, Float v)) series))
+         (List.map (fun (k, v) -> (k, Float v)) (series ())))
 
 let suppress f =
   let cell = Domain.DLS.get suppress_key in

@@ -10,6 +10,7 @@ module Runner = Iced_stream.Runner
 module Campaign = Iced_campaign.Campaign
 module Metrics = Iced_obs.Metrics
 module Trace = Iced_obs.Trace
+module Clock = Iced_obs.Clock
 
 type config = {
   workers : int;
@@ -37,7 +38,7 @@ let fingerprint e = Fnv.to_hex (Fnv.hash_string (Printexc.to_string e))
    without SA_RESTART, so [sleepf] can return early with EINTR — retry
    until the target, never surface the interrupt *)
 let rec sleep_until target =
-  let now = Unix.gettimeofday () in
+  let now = Clock.now () in
   if now < target then begin
     (try Unix.sleepf (target -. now)
      with Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -242,7 +243,7 @@ let dispatch ~cache ~stats ~health ~start ~deadline_at (frame : Protocol.frame) 
   let id = frame.Protocol.id in
   let expired () =
     match deadline_at with
-    | Some d -> Unix.gettimeofday () >= d
+    | Some d -> Clock.now () >= d
     | None -> false
   in
   match frame.Protocol.request with
@@ -281,7 +282,7 @@ let handle ?(catch_kill = true) ?deadline_at ?health ~cache ~stats
     (frame : Protocol.frame) =
   let op = Protocol.op_to_string frame.Protocol.request in
   let id = frame.Protocol.id in
-  let start = Unix.gettimeofday () in
+  let start = Clock.now () in
   let deadline_at =
     match deadline_at with
     | Some _ as d -> d
@@ -312,8 +313,8 @@ let handle ?(catch_kill = true) ?deadline_at ?health ~cache ~stats
   end
   else
     match
-      Trace.with_span
-        ~args:[ ("id", Trace.Str id) ]
+      Trace.span
+        ~args:(fun () -> [ ("id", Trace.Str id) ])
         ~cat:"serve" ~name:op
         (fun () -> dispatch ~cache ~stats ~health ~start ~deadline_at frame)
     with
@@ -388,7 +389,7 @@ let fail_pending t =
       let id = frame.Protocol.id in
       let op = Protocol.op_to_string frame.Protocol.request in
       let line = internal_error_line ~id ~op Worker_kill in
-      emit t line ~latency_s:(Unix.gettimeofday () -. submitted);
+      emit t line ~latency_s:(Clock.now () -. submitted);
       mark_done t;
       drain ()
   in
@@ -400,7 +401,7 @@ let process_item t { frame; submitted; deadline_at } =
     handle ~catch_kill:false ?deadline_at ~cache:t.config.cache ~stats:(pool_stats t)
       ~health:(pool_health t) frame
   in
-  let latency_s = Unix.gettimeofday () -. submitted in
+  let latency_s = Clock.now () -. submitted in
   Metrics.observe "serve.latency_s" latency_s;
   Metrics.observe
     ("serve.latency." ^ Protocol.op_to_string frame.Protocol.request)
@@ -415,7 +416,7 @@ let supervise_kill t item e =
   let id = item.frame.Protocol.id in
   let op = Protocol.op_to_string item.frame.Protocol.request in
   let line = internal_error_line ~id ~op e in
-  emit t line ~latency_s:(Unix.gettimeofday () -. item.submitted);
+  emit t line ~latency_s:(Clock.now () -. item.submitted);
   Mutex.lock t.state_mu;
   t.restarts_n <- t.restarts_n + 1;
   let restarts = t.restarts_n in
@@ -485,7 +486,7 @@ let submit t (frame : Protocol.frame) =
   Mutex.lock t.state_mu;
   t.pending <- t.pending + 1;
   Mutex.unlock t.state_mu;
-  let submitted = Unix.gettimeofday () in
+  let submitted = Clock.now () in
   let deadline_at =
     match frame.Protocol.deadline_ms with
     | Some ms -> Some (submitted +. (float_of_int ms /. 1000.0))
@@ -591,7 +592,7 @@ let serve_fds_once ~stop config reader writer =
       | Ok frame ->
         let deadline_at =
           match (frame.Protocol.deadline_ms, config.default_deadline_ms) with
-          | None, Some ms -> Some (Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
+          | None, Some ms -> Some (Clock.now () +. (float_of_int ms /. 1000.0))
           | _ -> None  (* an explicit deadline_ms is derived inside [handle] *)
         in
         write (handle ?deadline_at ~cache:config.cache ~stats frame);

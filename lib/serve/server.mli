@@ -84,7 +84,7 @@ val handle :
     and the byte-identity oracle for the pool.  [stats]/[health]
     render those replies (the daemon injects live pool counters; a
     one-shot context reports a static snapshot).  [deadline_at] is the
-    absolute expiry ([Unix.gettimeofday] clock); when absent, it is
+    absolute expiry on the {!Iced_obs.Clock.now} clock; when absent, it is
     derived from the frame's own [deadline_ms] at call time.
     [catch_kill] (default [true]) also converts {!Worker_kill} into an
     [internal_error] reply; the pool passes [false] so the kill

@@ -52,6 +52,8 @@ let mean samples = Iced_util.Stats.mean samples
 
 let long_worst_decay = 0.5
 
+(* One decision step; returns this window's bottleneck (kernel, time),
+   [None] when no kernel reported a sample. *)
 let adjust_body t =
   let stats =
     List.filter_map
@@ -74,7 +76,7 @@ let adjust_body t =
       t.levels
   in
   match stats with
-  | [] -> ()
+  | [] -> None
   | (first_label, first_time, _) :: rest ->
     let bottleneck_label, bottleneck_time =
       List.fold_left
@@ -82,10 +84,6 @@ let adjust_body t =
         (first_label, first_time) rest
     in
     t.last_bottleneck <- Some (bottleneck_label, bottleneck_time);
-    if Obs.enabled () then begin
-      Obs.span_arg "bottleneck" (Obs.Str bottleneck_label);
-      Obs.span_arg "bottleneck_us" (Obs.Float bottleneck_time)
-    end;
     let changed = ref false in
     let new_levels =
       List.map
@@ -144,33 +142,35 @@ let adjust_body t =
           in
           if next <> level then begin
             changed := true;
-            if Obs.enabled () then
-              Obs.instant
-                ~args:
-                  [
-                    ("kernel", Obs.Str label);
-                    ("from", Obs.Str (Dvfs.to_string level));
-                    ("to", Obs.Str (Dvfs.to_string next));
-                  ]
-                ~cat:"controller" ~name:"level" ()
+            Obs.instant
+              ~args:(fun () ->
+                [
+                  ("kernel", Obs.Str label);
+                  ("from", Obs.Str (Dvfs.to_string level));
+                  ("to", Obs.Str (Dvfs.to_string next));
+                ])
+              ~cat:"controller" ~name:"level" ()
           end;
           (label, next))
         t.levels
     in
     if !changed then t.adjustments <- t.adjustments + 1;
-    t.levels <- new_levels
+    t.levels <- new_levels;
+    Some (bottleneck_label, bottleneck_time)
 
 (* The decision step of Algorithm 3, traced as one ["controller"]
    ["adjust"] span per window: the window index, the bottleneck kernel
    and its time land as span args; every per-kernel level move is a
    ["level"] instant. *)
 let adjust t =
-  if not (Obs.enabled ()) then adjust_body t
-  else
-    Obs.with_span
-      ~args:[ ("window", Obs.Int ((t.inputs_seen / t.window_size) - 1)) ]
-      ~cat:"controller" ~name:"adjust"
-      (fun () -> adjust_body t)
+  Obs.span
+    ~args:(fun () -> [ ("window", Obs.Int ((t.inputs_seen / t.window_size) - 1)) ])
+    ~result:(function
+      | Some (label, time) ->
+        [ ("bottleneck", Obs.Str label); ("bottleneck_us", Obs.Float time) ]
+      | None -> [])
+    ~cat:"controller" ~name:"adjust"
+    (fun () -> adjust_body t)
 
 let impose t granted =
   List.iter
@@ -183,16 +183,15 @@ let impose t granted =
       (fun (label, level) ->
         match List.assoc_opt label granted with
         | Some g ->
-          if g <> level && Obs.enabled () then
+          if g <> level then
             Obs.instant
-              ~args:
+              ~args:(fun () ->
                 [
                   ("kernel", Obs.Str label);
                   ("from", Obs.Str (Dvfs.to_string level));
                   ("to", Obs.Str (Dvfs.to_string g));
-                ]
-              ~cat:"controller" ~name:"impose" ()
-          ;
+                ])
+              ~cat:"controller" ~name:"impose" ();
           (label, g)
         | None -> (label, level))
       t.levels
@@ -204,7 +203,7 @@ let last_bottleneck t = t.last_bottleneck
 let input_done t =
   t.inputs_seen <- t.inputs_seen + 1;
   if t.inputs_seen mod t.window_size = 0 then begin
-    adjust t;
+    ignore (adjust t);
     Hashtbl.reset t.exe_table
   end
 

@@ -235,15 +235,14 @@ let arbitrate t ~round desired =
   in
   t.decisions <- d :: t.decisions;
   if !demotions > 0 then Iced_obs.Metrics.incr "tenancy.throttled_rounds";
-  if Obs.enabled () then
-    Obs.instant
-      ~args:
-        [
-          ("round", Obs.Int round);
-          ("desired_mw", Obs.Float desired_mw);
-          ("granted_mw", Obs.Float granted_mw);
-          ("demotions", Obs.Int !demotions);
-          ("infeasible", Obs.Str (string_of_bool !infeasible));
-        ]
-      ~cat:"tenancy" ~name:"grant" ();
+  Obs.instant
+    ~args:(fun () ->
+      [
+        ("round", Obs.Int round);
+        ("desired_mw", Obs.Float desired_mw);
+        ("granted_mw", Obs.Float granted_mw);
+        ("demotions", Obs.Int !demotions);
+        ("infeasible", Obs.Str (string_of_bool !infeasible));
+      ])
+    ~cat:"tenancy" ~name:"grant" ();
   granted
