@@ -21,12 +21,20 @@ open Iced_arch
 module Design = Iced.Design
 module J = Iced_util.Json
 
+(* Run [f], which writes the files [paths].  Opening one of them fails
+   with [Sys_error "PATH: reason"]; report that as one line and the
+   CLI's error code rather than an uncaught exception. *)
+let writing paths f =
+  let names msg = List.exists (fun p -> String.starts_with ~prefix:(p ^ ": ") msg) paths in
+  try f () with
+  | Sys_error msg when names msg ->
+    Printf.eprintf "iced: cannot write %s\n" msg;
+    exit 1
+
 (* Write a report file and name it on stderr, so stdout stays the
    report itself. *)
 let write_report path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
+  writing [ path ] (fun () -> Iced_obs.Export.write_file ~path contents);
   Printf.eprintf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -56,6 +64,18 @@ let checked_float ~expected ok =
 
 let positive_float = checked_float ~expected:"a finite number > 0" (fun f -> f > 0.0)
 
+(* Counts the library would reject with [Invalid_argument] are usage
+   errors too. *)
+let checked_int ~expected ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad value %S (expected %s)" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = checked_int ~expected:"an integer >= 1" (fun n -> n >= 1)
+
 let probability =
   checked_float ~expected:"a finite number in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
 
@@ -77,7 +97,8 @@ let point_arg =
          ~doc:"Design point: baseline, baseline+pg, 'per-tile dvfs+pg', or iced.")
 
 let unroll_arg =
-  Arg.(value & opt int 1 & info [ "unroll" ] ~docv:"N" ~doc:"Unroll factor (1 or 2).")
+  Arg.(value & opt (checked_int ~expected:"1 or 2" (fun n -> n = 1 || n = 2)) 1
+       & info [ "unroll" ] ~docv:"N" ~doc:"Unroll factor (1 or 2).")
 
 let backend_conv =
   let parse s =
@@ -100,7 +121,8 @@ let backend_arg =
                  sa:SEED), or pathfinder (negotiated-congestion router).")
 
 let size_arg =
-  Arg.(value & opt int 6 & info [ "size" ] ~docv:"N" ~doc:"Fabric is NxN tiles.")
+  Arg.(value & opt (checked_int ~expected:"an integer >= 2" (fun n -> n >= 2)) 6
+       & info [ "size" ] ~docv:"N" ~doc:"Fabric is NxN tiles (N >= 2).")
 
 (* ------------------------------------------------------------------ *)
 (* subcommands                                                         *)
@@ -188,7 +210,8 @@ let map_term =
     let cgra = Cgra.make ~rows:size ~cols:size () in
     (match dot with
     | Some path ->
-      Iced_dfg.Dot.write_file ~path (Iced_kernels.Kernel.dfg_at kernel ~factor:unroll);
+      writing [ path ] (fun () ->
+          Iced_dfg.Dot.write_file ~path (Iced_kernels.Kernel.dfg_at kernel ~factor:unroll));
       Printf.printf "wrote %s\n" path
     | None -> ());
     let telemetry = Iced_mapper.Mapper.create_stats () in
@@ -324,7 +347,8 @@ let certify_cmd =
   Cmd.v (Cmd.info "certify" ~doc:certify_doc) Term.(certify_term $ const ())
 
 let iterations_arg =
-  Arg.(value & opt int 25 & info [ "iterations" ] ~docv:"N" ~doc:"Loop iterations to run.")
+  Arg.(value & opt positive_int 25
+       & info [ "iterations" ] ~docv:"N" ~doc:"Loop iterations to run.")
 
 let vcd_arg =
   Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE"
@@ -352,7 +376,8 @@ let simulate_term =
         (result.Iced_sim.Sim.stores = golden);
       (match vcd with
       | Some path ->
-        Iced_sim.Trace.write_vcd ~path e.Design.mapping ~iterations:(min iterations 8);
+        writing [ path ] (fun () ->
+            Iced_sim.Trace.write_vcd ~path e.Design.mapping ~iterations:(min iterations 8));
         Printf.printf "wrote %s\n" path
       | None -> ());
       if result.Iced_sim.Sim.stores <> golden || result.Iced_sim.Sim.violations <> []
@@ -666,7 +691,7 @@ let fault_term =
          & info [ "inputs" ] ~docv:"N" ~doc:"Stream length per run.")
   in
   let window_arg =
-    Arg.(value & opt int 10
+    Arg.(value & opt positive_int 10
          & info [ "window" ] ~docv:"N" ~doc:"Runner observation window.")
   in
   let workers_arg =
@@ -864,13 +889,13 @@ let tenancy_policy_conv =
     (parse, fun fmt p -> Format.pp_print_string fmt (Tenancy.Allocator.policy_to_string p))
 
 let tenancy_tenants_arg =
-  Arg.(value & opt int 4
+  Arg.(value & opt positive_int 4
        & info [ "tenants" ] ~docv:"N"
            ~doc:"Fleet size: N synthetic tenants cycling Table I kernels and QoS \
                  classes (premium/standard/batch).")
 
 let tenancy_inputs_arg =
-  Arg.(value & opt int 60
+  Arg.(value & opt positive_int 60
        & info [ "inputs" ] ~docv:"N" ~doc:"Inputs per tenant stream.")
 
 let tenancy_seed_arg =
@@ -1006,7 +1031,9 @@ let metrics_out_arg =
 
 let traced_cmd name doc term =
   let wrap out flame_out metrics_out thunk =
-    Iced_obs.Export.capture ~out ?flame_out ?metrics_out thunk;
+    writing
+      (out :: List.filter_map Fun.id [ flame_out; metrics_out ])
+      (fun () -> Iced_obs.Export.capture ~out ?flame_out ?metrics_out thunk);
     let dropped = Iced_obs.Trace.dropped () in
     if dropped > 0 then
       Printf.eprintf "[trace] ring overflow: %d oldest events dropped\n" dropped;
