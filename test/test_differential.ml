@@ -39,12 +39,13 @@ let check_against_golden ~what path actual =
 let test_corpus_unchanged () =
   check_against_golden ~what:"mapping" golden_path (Iced_testgen.Diff_gen.golden_lines ())
 
-(* test/golden/backend_golden.txt pins the [sa] and [pathfinder]
-   backends the same way, plus each case's search counters (attempts,
-   placements, route calls, expansions, SA moves and temperature steps,
-   Pathfinder rounds and overflow): an optimisation of the mapper's hot
-   path must leave both the mappings and the search that found them
-   unchanged.  The cases are listed in Iced_testgen.Diff_gen. *)
+(* test/golden/backend_golden.txt pins the [default], [sa] and
+   [pathfinder] backends the same way, plus each case's search counters
+   (attempts, placements, route calls and failures, expansions, SA
+   moves and temperature steps, Pathfinder rounds and overflow): an
+   optimisation of the mapper's hot path must leave both the mappings
+   and the search that found them unchanged.  The cases are listed in
+   Iced_testgen.Diff_gen. *)
 let backend_golden_path = "golden/backend_golden.txt"
 
 let test_backends_unchanged () =
