@@ -124,26 +124,22 @@ let opcode_of_code = function
   | 18 -> Some Op.Phi | 19 -> Some Op.Load | 20 -> Some Op.Store | 21 -> Some Op.Gep
   | 22 -> Some Op.Route | 23 -> Some (Op.Const 0) | _ -> None
 
-let dir_code = function Dir.North -> 0 | Dir.South -> 1 | Dir.East -> 2 | Dir.West -> 3
-let dir_of_code = function
-  | 0 -> Dir.North | 1 -> Dir.South | 2 -> Dir.East | _ -> Dir.West
-
-let source_code = function Register -> 1 | Port d -> 2 + dir_code d
+let source_code = function Register -> 1 | Port d -> 2 + Dir.index d
 
 let source_of_code = function
   | 1 -> Some Register
-  | c when c >= 2 && c <= 5 -> Some (Port (dir_of_code (c - 2)))
+  | c when c >= 2 && c <= 5 -> Some (Port (Dir.of_index (c - 2)))
   | _ -> None
 
 let select_code = function
   | From_fu -> 1
   | From_register -> 2
-  | From_port d -> 3 + dir_code d
+  | From_port d -> 3 + Dir.index d
 
 let select_of_code = function
   | 1 -> Some From_fu
   | 2 -> Some From_register
-  | c when c >= 3 && c <= 6 -> Some (From_port (dir_of_code (c - 3)))
+  | c when c >= 3 && c <= 6 -> Some (From_port (Dir.of_index (c - 3)))
   | _ -> None
 
 let encode_slot slot =
@@ -162,7 +158,7 @@ let encode_slot slot =
     | _ -> ()));
   List.iter
     (fun (dir, select) ->
-      word := Int64.logor !word (select_code select |< (16 + (4 * dir_code dir))))
+      word := Int64.logor !word (select_code select |< (16 + (4 * Dir.index dir))))
     slot.outputs;
   !word
 
@@ -185,7 +181,7 @@ let decode_slot word =
     let outputs =
       List.filter_map
         (fun dir ->
-          match select_of_code (field (16 + (4 * dir_code dir)) 4) with
+          match select_of_code (field (16 + (4 * Dir.index dir)) 4) with
           | Some select -> Some (dir, select)
           | None -> None)
         Dir.all

@@ -4,12 +4,6 @@ module Mrrg = Iced_mrrg.Mrrg
 module Obs = Iced_obs.Trace
 open Engine
 
-(* Port-slot resource index: ((tile * 4) + dir) * II + (time mod II).
-   This is exactly the occupancy the MRRG charges a hop (the source
-   tile's output port at the arrival time's modulo slot), so zero
-   overflow here guarantees the final commit reserves cleanly. *)
-let dir_code = function Dir.North -> 0 | Dir.South -> 1 | Dir.East -> 2 | Dir.West -> 3
-
 exception Unroutable of string
 
 (* Negotiated-congestion routing (Pathfinder): every dependence of a
@@ -24,7 +18,11 @@ let route_all (p : Backend.pf_params) state =
   let nres = tiles * 4 * ii in
   let usage = Array.make nres 0 in
   let history = Array.make nres 0 in
-  let res ~tile ~dir ~time = (((tile * 4) + dir_code dir) * ii) + (time mod ii) in
+  (* Port-slot resource index: ((tile * 4) + dir) * II + (time mod II).
+     This is exactly the occupancy the MRRG charges a hop (the source
+     tile's output port at the arrival time's modulo slot), so zero
+     overflow here guarantees the final commit reserves cleanly. *)
+  let res ~tile ~dir ~time = (((tile * 4) + Dir.index dir) * ii) + (time mod ii) in
   (* Each port slot's base price: its DVFS hop cost, or -1 on a dead
      link.  Priced once per call: ports are reserved only at commit,
      and FU occupancy and island levels stay fixed while negotiating,

@@ -21,17 +21,9 @@ type occupant = Op_node of int | Route of { src : int; dst : int }
 
 let resources = 5
 
-let dir_index = function Dir.North -> 0 | Dir.South -> 1 | Dir.East -> 2 | Dir.West -> 3
+let res_index = function Fu -> 0 | Port d -> 1 + Dir.index d
 
-let res_index = function Fu -> 0 | Port d -> 1 + dir_index d
-
-let res_of_index = function
-  | 0 -> Fu
-  | 1 -> Port Dir.North
-  | 2 -> Port Dir.South
-  | 3 -> Port Dir.East
-  | 4 -> Port Dir.West
-  | _ -> invalid_arg "Mrrg.res_of_index"
+let res_of_index = function 0 -> Fu | r -> Port (Dir.of_index (r - 1))
 
 type phase = [ `Broken | `Empty | `Phase of int ]
 

@@ -216,6 +216,22 @@ let prop_island_of_in_range =
       in
       List.for_all holds fabrics)
 
+(* The router's parent codes, the MRRG's and Pathfinder's port slots
+   and the bitstream's fields all number directions by [Dir.index]; a
+   renumbering would slip past the bitstream round-trip, so pin it. *)
+let test_dir_index () =
+  Alcotest.(check (list int)) "Dir.all order" [ 0; 1; 2; 3 ] (List.map Dir.index Dir.all);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) (Dir.to_string d ^ " round-trips") true
+        (Dir.of_index (Dir.index d) = d))
+    Dir.all;
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "of_index %d" i) (Invalid_argument "Dir.of_index")
+        (fun () -> ignore (Dir.of_index i)))
+    [ -1; 4 ]
+
 let suite =
   [
     ("dvfs multipliers", `Quick, test_dvfs_multipliers);
@@ -240,4 +256,5 @@ let suite =
     ("cgra manhattan", `Quick, test_cgra_manhattan);
     ("cgra restrict", `Quick, test_cgra_restrict);
     QCheck_alcotest.to_alcotest prop_island_of_in_range;
+    ("dir index follows Dir.all", `Quick, test_dir_index);
   ]
