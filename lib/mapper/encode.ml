@@ -28,11 +28,6 @@ type t = {
 let solver t = t.solver
 let horizon t = t.horizon
 
-let slack_of g ~ii (e : Graph.edge) =
-  match (Graph.node g e.src).op with
-  | Op.Const _ -> (e.distance + 2) * ii
-  | _ -> e.distance * ii
-
 (* Cap on the schedule horizon (and so on encoding size).  Kernels the
    oracle targets sit far below it; past the cap we decline to encode
    and the caller reports the II undecided rather than building a CNF
@@ -57,7 +52,7 @@ let build cgra g ~ii =
        non-positive weight or the instance is infeasible anyway. *)
     let hbound =
       List.fold_left
-        (fun acc e -> acc + max 0 (1 + diameter - slack_of g ~ii e))
+        (fun acc e -> acc + max 0 (1 + diameter - Mapping.edge_slack g ~ii e))
         1 edges
     in
     let horizon = max hbound (ii + diameter + 1) in
@@ -153,7 +148,7 @@ let build cgra g ~ii =
       List.iter
         (fun (e : Graph.edge) ->
           let uv = Hashtbl.find vars e.src and vv = Hashtbl.find vars e.dst in
-          let slack = slack_of g ~ii e in
+          let slack = Mapping.edge_slack g ~ii e in
           let dge =
             if e.src = e.dst then [||]
             else Array.init diameter (fun _ -> Solver.new_var s)

@@ -11,9 +11,9 @@
       exclusivity in {!Mrrg} terms);
     - every dependence [u -> v] with distance [d] satisfies
       [time v + slack >= time u + 1 + manhattan(tile u, tile v)] with
-      [slack = d * ii] ([(d + 2) * ii] from [Const] producers),
-      matching {!Router}'s deadline and {!Validate.check}'s per-edge
-      latency rule with the Manhattan distance as the hop lower bound.
+      [slack] from {!Mapping.edge_slack}, matching {!Router}'s deadline
+      and {!Validate.check}'s per-edge latency rule with the Manhattan
+      distance as the hop lower bound.
 
     Port capacity along routes is {e not} encoded; {!Exact} closes that
     gap by routing each decoded model with the real {!Router} and

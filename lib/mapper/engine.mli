@@ -90,8 +90,7 @@ val note_island : state -> int -> Dvfs.level -> unit
     raises its tentative level to [label] when that is faster. *)
 
 val edge_slack : state -> Graph.edge -> int
-(** Loop-carried slack of an edge in cycles ([distance * II], plus two
-    extra iterations for iteration-invariant [Const] producers). *)
+(** {!Mapping.edge_slack} at the state's DFG and II. *)
 
 val label_of : state -> int -> Dvfs.level
 

@@ -50,11 +50,7 @@ let feasible cgra g ~ii ~budget =
     let mrrg = Mrrg.create cgra ~ii in
     let placements : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
     let attempts = ref 0 in
-    let slack (e : Graph.edge) =
-      match (Graph.node g e.src).op with
-      | Op.Const _ -> (e.distance + 2) * ii
-      | _ -> e.distance * ii
-    in
+    let slack = Mapping.edge_slack g ~ii in
     (* time window for [node] on [tile] given current placements;
        [anchored] records whether any placed neighbour constrained it *)
     let window node tile =
@@ -208,11 +204,6 @@ let minimal_ii ?(max_ii = 16) ?(budget = 200_000) cgra g =
 (* SAT-backed certification                                           *)
 (* ------------------------------------------------------------------ *)
 
-let slack_of g ~ii (e : Graph.edge) =
-  match (Graph.node g e.src).op with
-  | Op.Const _ -> (e.distance + 2) * ii
-  | _ -> e.distance * ii
-
 (* Realize a decoded placement-and-schedule as a full mapping by
    reserving FUs and routing every cross-tile edge with the real
    router (tightest deadlines first), exactly the resource model
@@ -238,7 +229,7 @@ let route_model ?stats cgra g ~ii placements =
              let dst_tile, dst_time = Hashtbl.find tbl e.dst in
              if src_tile = dst_tile then None
              else
-               let deadline = dst_time + slack_of g ~ii e - 1 in
+               let deadline = dst_time + Mapping.edge_slack g ~ii e - 1 in
                let laxity =
                  deadline - (src_time + Cgra.manhattan cgra src_tile dst_tile)
                in

@@ -17,6 +17,11 @@ type t = {
   island_levels : (int * Dvfs.level) list;
 }
 
+let edge_slack g ~ii (e : Graph.edge) =
+  match (Graph.node g e.src).op with
+  | Op.Const _ -> (e.distance + 2) * ii
+  | _ -> e.distance * ii
+
 let placement t node =
   match List.assoc_opt node t.placements with
   | Some p -> p

@@ -37,6 +37,15 @@ type t = {
           appears (unused islands are [Power_gated]) *)
 }
 
+val edge_slack : Graph.t -> ii:int -> Graph.edge -> int
+(** Cycles a dependence's consumer may read after its producer's
+    iteration-0 result: [distance * ii], plus two periods when the
+    producer is a [Const].  Constants are iteration-invariant, so the
+    consumer may read a copy produced two iterations earlier (the
+    simulator reads constants directly).  The mapper, router deadlines,
+    the exact oracle, the SAT encoding and {!Validate} all use this
+    one rule. *)
+
 val placement : t -> int -> int * int
 (** (tile, time) of a node.  @raise Not_found for unplaced ids. *)
 

@@ -36,15 +36,7 @@ let check mapping =
     match (List.assoc_opt e.src placements, List.assoc_opt e.dst placements) with
     | None, _ | _, None -> () (* reported above *)
     | Some (src_tile, src_time), Some (dst_tile, dst_time) -> (
-      (* Edges from Const nodes are iteration-invariant: the consumer
-         may read a copy produced in an earlier iteration, so they get
-         extra modulo slack (mirrored by the mapper and simulator). *)
-      let slack =
-        match (Graph.node dfg e.src).op with
-        | Op.Const _ -> (e.distance + 2) * ii
-        | _ -> e.distance * ii
-      in
-      let deadline = dst_time + slack - 1 in
+      let deadline = dst_time + Mapping.edge_slack dfg ~ii e - 1 in
       match Mapping.route_of_edge mapping e with
       | None ->
         if src_tile <> dst_tile then
