@@ -1,11 +1,16 @@
 (** Dijkstra router over the MRRG (Algorithm 2 uses Dijkstra's
     algorithm to route data between mapped operations).
 
-    The search space is (tile, absolute time): at each step a value may
-    wait in the tile's bypass buffer (free of MRRG resources, tiny cost)
-    or hop to a mesh neighbour, claiming the source tile's output port
-    at the hop time.  A route succeeds when the value reaches the
-    destination tile no later than the consumer's read deadline. *)
+    There is one search, {!find_path}.  Its space is (tile, absolute
+    time): at each step a value may wait in the tile's bypass buffer
+    (free of MRRG resources, cost 1) or hop to a mesh neighbour through
+    the source tile's output port, at a price the caller sets per port
+    slot.  A path succeeds when the value reaches the destination tile
+    no later than the consumer's read deadline.
+
+    {!route} is that search under occupancy pricing, followed by
+    reserving the hops; the Pathfinder router prices congestion instead
+    and reserves only when a negotiation round settles. *)
 
 open Iced_dfg
 
@@ -15,10 +20,11 @@ val hop_cost : int
 
 type scratch
 (** Reusable search arena: distance, parent, and visited-stamp arrays
-    plus the frontier heap, sized to tiles x horizon.  Resetting between
-    calls is O(1) (an epoch bump), so routing an edge through a shared
-    scratch allocates nothing on the steady path — buffers grow only
-    when a call needs a larger horizon than any before it. *)
+    sized to tiles x horizon, plus the frontier, an {!Iced_util.Heap}.
+    Resetting between calls is O(1) (an epoch bump), so a search
+    through a shared scratch allocates nothing per expansion on the
+    steady path — buffers grow only when a call needs a larger horizon
+    than any before it. *)
 
 val create_scratch : unit -> scratch
 (** Empty arena; buffers are sized lazily by the first route through it.
@@ -42,6 +48,13 @@ val route :
     (empty when producer and consumer share a tile) and the path cost.
     On [Error] nothing is reserved.
 
+    This is {!find_path} under occupancy pricing: a hop out of [tile]
+    is forbidden unless all [hop_width tile] of its output-port slots
+    from the arrival time on are free, and otherwise costs
+    [hop_width tile + extra_cost ~tile ~time] on top of {!hop_cost}
+    ([extra_cost] must be non-negative).  The hops are then reserved;
+    a reservation conflict rolls them back and counts as a failure.
+
     [scratch] reuses a search arena across calls (a private one is made
     per call otherwise).  [stats] counts the call, its heap expansions,
     and a failure if no route exists. *)
@@ -60,12 +73,13 @@ val find_path :
 (** Cheapest path under caller-supplied port pricing, {e without}
     reserving anything.  [port_cost ~tile ~dir ~time] prices the output
     port slot a hop out of [tile] in direction [dir] arriving at [time]
-    would claim — [-1] forbids it (dead link), any [extra >= 0] is
-    added to {!hop_cost}; an int rather than an option, so pricing a
-    relaxation allocates nothing.  This is the search the Pathfinder router runs once
-    per edge per negotiation round, with present/history congestion
-    folded into the pricing; settled routes are reserved by the caller.
-    [stats] counts the call and its expansions like {!route}. *)
+    would claim — [-1] forbids it (busy or dead link), any
+    [extra >= 0] is added to {!hop_cost}; an int rather than an option,
+    so pricing a relaxation allocates nothing.  Besides {!route}, the
+    Pathfinder router runs this once per edge per negotiation round,
+    with present/history congestion folded into the pricing; settled
+    routes are reserved by the caller.  [stats] counts the call, its
+    expansions and a failure like {!route}. *)
 
 val release : Iced_mrrg.Mrrg.t -> Mapping.hop list -> Graph.edge -> unit
 (** Undo a successful [route]'s reservations. *)

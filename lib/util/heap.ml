@@ -1,9 +1,8 @@
-type 'a t = { mutable data : (int * 'a) array; mutable size : int }
+(* Entry [i] is (prio.(i), payload.(i)); the two arrays always have the
+   same length, and cells at [size] and beyond are garbage. *)
+type t = { mutable prio : int array; mutable payload : int array; mutable size : int }
 
-let create () = { data = [||]; size = 0 }
-
-let with_capacity ~dummy n =
-  { data = (if n <= 0 then [||] else Array.make n (0, dummy)); size = 0 }
+let create () = { prio = [||]; payload = [||]; size = 0 }
 
 let clear h = h.size <- 0
 
@@ -11,24 +10,17 @@ let is_empty h = h.size = 0
 
 let size h = h.size
 
-(* [seed] fills fresh capacity so the array stays fully initialized. *)
-let ensure_capacity h seed =
-  if h.size = Array.length h.data then begin
-    let capacity = max 16 (2 * Array.length h.data) in
-    let bigger = Array.make capacity seed in
-    Array.blit h.data 0 bigger 0 h.size;
-    h.data <- bigger
-  end
-
 let swap h i j =
-  let tmp = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- tmp
+  let p = h.prio.(i) and v = h.payload.(i) in
+  h.prio.(i) <- h.prio.(j);
+  h.payload.(i) <- h.payload.(j);
+  h.prio.(j) <- p;
+  h.payload.(j) <- v
 
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if fst h.data.(i) < fst h.data.(parent) then begin
+    if h.prio.(i) < h.prio.(parent) then begin
       swap h i parent;
       sift_up h parent
     end
@@ -37,27 +29,41 @@ let rec sift_up h i =
 let rec sift_down h i =
   let left = (2 * i) + 1 and right = (2 * i) + 2 in
   let smallest = ref i in
-  if left < h.size && fst h.data.(left) < fst h.data.(!smallest) then smallest := left;
-  if right < h.size && fst h.data.(right) < fst h.data.(!smallest) then smallest := right;
+  if left < h.size && h.prio.(left) < h.prio.(!smallest) then smallest := left;
+  if right < h.size && h.prio.(right) < h.prio.(!smallest) then smallest := right;
   if !smallest <> i then begin
     swap h i !smallest;
     sift_down h !smallest
   end
 
+let grow h =
+  let capacity = max 16 (2 * h.size) in
+  let bigger a =
+    let b = Array.make capacity 0 in
+    Array.blit a 0 b 0 h.size;
+    b
+  in
+  h.prio <- bigger h.prio;
+  h.payload <- bigger h.payload
+
 let push h priority payload =
-  ensure_capacity h (priority, payload);
-  h.data.(h.size) <- (priority, payload);
+  if h.size = Array.length h.prio then grow h;
+  h.prio.(h.size) <- priority;
+  h.payload.(h.size) <- payload;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
+let min_priority h =
+  if h.size = 0 then invalid_arg "Heap.min_priority";
+  h.prio.(0)
+
 let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top
-  end
+  if h.size = 0 then invalid_arg "Heap.pop";
+  let top = h.payload.(0) in
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.prio.(0) <- h.prio.(h.size);
+    h.payload.(0) <- h.payload.(h.size);
+    sift_down h 0
+  end;
+  top

@@ -1,31 +1,34 @@
-(** Minimal mutable binary min-heap keyed by integer priority.
+(** Mutable binary min-heap of int payloads keyed by int priority.
 
-    The mapper's router uses an inlined parallel-int-array copy of this
-    heap's sift discipline (strict [<] on priority, left child first);
-    the property tests here pin that discipline, so keep the two in
-    sync. *)
+    Entries live in two parallel int arrays, so pushing allocates
+    nothing once the arrays are large enough, and {!clear} keeps them
+    for reuse.  This is the Dijkstra frontier of [Iced_mapper.Router].
 
-type 'a t
+    Equal priorities pop in the order the sift discipline leaves them
+    (strict [<] on priority, left child probed first), not in push
+    order.  The router's choice among equal-cost paths depends on that
+    order; the util test "heap tie order" pins it. *)
 
-val create : unit -> 'a t
+type t
 
-val with_capacity : dummy:'a -> int -> 'a t
-(** Empty heap with backing storage for [n] entries preallocated (it
-    still grows past [n] on demand).  [dummy] fills the unused cells —
-    combined with {!clear}, this lets a hot loop reuse one heap with no
-    steady-state array growth. *)
+val create : unit -> t
+(** Empty heap; its arrays grow on demand. *)
 
-val clear : 'a t -> unit
-(** Forget every entry in O(1).  The backing array is kept (and keeps
-    its cells reachable until overwritten — use payloads that don't
-    pin memory, e.g. ints, where that matters). *)
+val clear : t -> unit
+(** Forget every entry in O(1), keeping the arrays. *)
 
-val push : 'a t -> int -> 'a -> unit
+val push : t -> int -> int -> unit
 (** [push h priority payload]. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum-priority entry. *)
+val min_priority : t -> int
+(** Priority of the entry {!pop} would remove next.
+    @raise Invalid_argument on an empty heap. *)
 
-val is_empty : 'a t -> bool
+val pop : t -> int
+(** Remove the minimum-priority entry and return its payload; read
+    {!min_priority} first for its priority.
+    @raise Invalid_argument on an empty heap. *)
 
-val size : 'a t -> int
+val is_empty : t -> bool
+
+val size : t -> int
