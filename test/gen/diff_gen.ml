@@ -190,6 +190,17 @@ let backend_cases () =
          (Cgra.make ~rows:8 ~cols:8 ()))
       (kernel name) backends
   in
+  (* Each cost knob off in turn, so every branch of the placement cost
+     is pinned; without island affinity the costs go negative. *)
+  let knob_off (name, knobs) =
+    List.concat_map
+      (fun k ->
+        case ~fabric:"6x6" ~tag:("dvfs-no-" ^ name)
+          (Mapper.request ~strategy:Mapper.Dvfs_aware ~knobs Cgra.iced_6x6)
+          k [ Backend.default ])
+      Iced_kernels.Registry.all
+  in
+  let all_on = Mapper.all_knobs in
   table1 Mapper.Dvfs_aware all
   @ table1 Mapper.Conventional [ Backend.default; Backend.sa ]
   @ case ~fabric:"10x10" ~tag:"dvfs"
@@ -197,6 +208,11 @@ let backend_cases () =
       (kernel "rand40x1") all
   @ committed "fir" all
   @ committed "fft" [ Backend.default; Backend.sa ]
+  @ List.concat_map knob_off
+      [ ("island_affinity", { all_on with Mapper.island_affinity = false });
+        ("packing", { all_on with Mapper.packing = false });
+        ("phase_alignment", { all_on with Mapper.phase_alignment = false });
+        ("conventional_fallback", { all_on with Mapper.conventional_fallback = false }) ]
 
 let backend_lines () =
   List.map
