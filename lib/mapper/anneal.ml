@@ -14,8 +14,9 @@ let deficit_cost = 5_000
 
 (* Estimated cost of one dependence given explicit endpoint
    coordinates: wirelength at router prices plus wait slack (mirroring
-   the terms of {!Engine.cheap_cost}), or a steep penalty per missing
-   cycle when the deadline is unmeetable. *)
+   the hop and wait terms of {!Engine.collect_candidates}' placement
+   cost), or a steep penalty per missing cycle when the deadline is
+   unmeetable. *)
 let edge_cost state (e : Graph.edge) ~src_tile ~src_time ~dst_tile ~dst_time =
   let dist = Cgra.manhattan state.req.cgra src_tile dst_tile in
   let slack = dst_time + edge_slack state e - (src_time + dist + 1) in

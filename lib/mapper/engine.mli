@@ -3,9 +3,10 @@
     One [state] is built per (II, margin, cost-model) attempt by
     {!Search} and handed to whichever placer/router pair the request's
     {!Backend.t} selects.  The helpers here are the contract between
-    backends: time windows and cheap costs for ordering candidates,
-    width-aware FU reservation against the MRRG occupancy arenas, and
-    incident-dependence routing for the incremental router. *)
+    backends: time windows and a heap of candidate slots ordered by
+    placement cost, width-aware FU reservation against the MRRG
+    occupancy arenas, and incident-dependence routing for the
+    incremental router. *)
 
 open Iced_arch
 open Iced_dfg
@@ -62,6 +63,9 @@ type state = {
       (** island -> tentative level ([None] = not opened), Dvfs_aware only *)
   committed : (int, Dvfs.level) Hashtbl.t option;  (** island -> level, commit mode *)
   scratch : Router.scratch;
+  candidates : Iced_util.Heap.t;
+      (** the greedy placer's candidate slots, filled by
+          {!collect_candidates} *)
   stats : Telemetry.t;
 }
 (** One placement attempt's working set.  Node arrays are indexed by
@@ -114,9 +118,15 @@ val time_window : state -> int -> int -> int * int
     start honouring placed producers and the schedule estimate, and the
     latest start admissible for placed consumers ([max_int] = none). *)
 
-val cheap_cost : state -> int -> int -> int -> int
-(** Lower-bound cost of placing [node] at [(tile, time)]; orders full
-    placement attempts without touching the router. *)
+val collect_candidates : state -> int -> int list -> unit
+(** [collect_candidates state node tiles] refills [state.candidates]
+    with every free FU slot of [tiles] in [node]'s {!time_window}, keyed
+    by a lower-bound placement cost that never touches the router.  The
+    tile terms of that cost are computed once per tile, not per slot. *)
+
+val pop_candidate : state -> (int * int) option
+(** Remove the cheapest [(tile, time)] left in [state.candidates]; ties
+    in cost go to the lower tile, then the earlier time. *)
 
 val route_incident : state -> int -> int -> int ->
   (Mapping.route list, string) result

@@ -1,6 +1,5 @@
 open Iced_arch
 open Iced_dfg
-module Mrrg = Iced_mrrg.Mrrg
 module Obs = Iced_obs.Trace
 open Engine
 
@@ -46,22 +45,7 @@ let place_node_untraced ~route state node =
     | Dvfs_aware -> note_island state (Cgra.island_of cgra tile) (label_of state node)
   in
   let try_tiles eligible_tiles =
-    let candidates = ref [] in
-    List.iter
-      (fun tile ->
-        let est, lst = time_window state node tile in
-        let upper = min (est + state.ii - 1) lst in
-        let rec collect time =
-          if time > upper then ()
-          else begin
-            if Mrrg.is_free state.mrrg ~tile ~time Mrrg.Fu then
-              candidates := (cheap_cost state node tile time, tile, time) :: !candidates;
-            collect (time + 1)
-          end
-        in
-        collect est)
-      eligible_tiles;
-    let ordered = List.sort compare !candidates in
+    collect_candidates state node eligible_tiles;
     let max_attempts = 100 in
     let describe_windows () =
       let sample =
@@ -88,20 +72,21 @@ let place_node_untraced ~route state node =
       in
       String.concat " " sample ^ " " ^ neighbours
     in
-    let rec attempt n = function
-      | [] ->
+    let rec attempt n =
+      match pop_candidate state with
+      | None ->
         Error
           (Printf.sprintf "node n%d: no feasible placement at II=%d (windows %s)" node
              state.ii (describe_windows ()))
-      | _ when n >= max_attempts ->
+      | Some _ when n >= max_attempts ->
         Error (Printf.sprintf "node n%d: placement attempts exhausted at II=%d" node state.ii)
-      | (_, tile, time) :: rest -> (
+      | Some (tile, time) -> (
         let s = state.stats in
         s.Telemetry.placements_tried <- s.Telemetry.placements_tried + 1;
         (* in commit mode a slowed tile's op covers multiplier-many
            modulo slots *)
         match reserve_fu state node tile time with
-        | Error _ -> attempt (n + 1) rest
+        | Error _ -> attempt (n + 1)
         | Ok () ->
           if not route then begin
             place state node tile time;
@@ -117,9 +102,9 @@ let place_node_untraced ~route state node =
               Ok ()
             | Error _ ->
               release_fu state tile time;
-              attempt (n + 1) rest))
+              attempt (n + 1)))
     in
-    attempt 0 ordered
+    attempt 0
   in
   let rec first_success last_err = function
     | [] -> Error last_err

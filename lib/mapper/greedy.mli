@@ -1,5 +1,6 @@
-(** The default placer: greedy topological placement over
-    {!Engine.cheap_cost}-ordered candidates.
+(** The default placer: greedy topological placement.  Each node's
+    free (tile, time) slots go into {!Engine.collect_candidates}'s heap
+    and are popped cheapest first until one places.
 
     With [route = true] this is the legacy fused pair (incident deps
     are Dijkstra-routed as each node is placed, and unroutable

@@ -55,7 +55,7 @@ let place_and_route (state : Engine.state) order =
       | Backend.Incremental -> Engine.route_complete state
       | Backend.Negotiated p -> Pathfinder.route_all p state))
 
-let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
+let attempt_ii ~scratch ~candidates ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
   let labels =
     match req.strategy with
     | Conventional -> List.map (fun id -> (id, Dvfs.Normal)) (Graph.node_ids dfg)
@@ -143,6 +143,7 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
         island_level = Array.make (Cgra.island_count req.cgra) None;
         committed;
         scratch;
+        candidates;
         stats;
       }
     in
@@ -223,6 +224,7 @@ let attempt_ii ~scratch ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
 let run ?stats (req : request) dfg =
   let t = Telemetry.create () in
   let scratch = Router.create_scratch () in
+  let candidates = Iced_util.Heap.create () in
   let t0 = Clock.now () in
   let compute () =
     match Graph.validate dfg with
@@ -267,7 +269,8 @@ let run ?stats (req : request) dfg =
                   t.Telemetry.attempts <- t.Telemetry.attempts + 1;
                   t.Telemetry.margin_position <- position;
                   match
-                    attempt_ii ~scratch ~stats:t req dfg ~tiles ~memory_tiles ~ii ~margin
+                    attempt_ii ~scratch ~candidates ~stats:t req dfg ~tiles ~memory_tiles ~ii
+                      ~margin
                   with
                   | Ok mapping -> Ok mapping
                   | Error msg -> margins req msg (position + 1) rest)
