@@ -628,6 +628,14 @@ let mapper_bench () =
       let wanted = String.split_on_char ',' spec in
       List.filter (fun (k : Kernel.t) -> List.mem k.name wanted) kernels
   in
+  (* Bytes allocated so far: minor-heap words plus the words allocated
+     straight into the major heap.  On OCaml 5.1 [Gc.allocated_bytes]
+     reads about an eighth of minor allocation and jumps by megabytes at
+     minor collections; [Gc.minor_words] is exact. *)
+  let allocated_bytes () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
   (* Steady-path router allocation: route and release the same edge
      repeatedly through an otherwise-empty MRRG, once with a private
      arena per call (the pre-arena engine's behavior) and once with a
@@ -642,13 +650,13 @@ let mapper_bench () =
     in
     (* warm up so the shared arena's buffers are grown before measuring *)
     (match route () with Ok (hops, _) -> Router.release mrrg hops edge | Error _ -> ());
-    let before = Gc.allocated_bytes () in
+    let before = allocated_bytes () in
     for _ = 1 to iterations do
       match route () with
       | Ok (hops, _) -> Router.release mrrg hops edge
       | Error _ -> ()
     done;
-    (Gc.allocated_bytes () -. before) /. float_of_int iterations
+    (allocated_bytes () -. before) /. float_of_int iterations
   in
   let iterations = 1000 in
   let fresh_bytes = bytes_per_route ~shared:false iterations in
@@ -665,13 +673,13 @@ let mapper_bench () =
       (fun (k : Kernel.t) ->
         let stats = Mapper.create_stats () in
         let req = Mapper.request ~strategy:Mapper.Dvfs_aware Cgra.iced_6x6 in
-        let before = Gc.allocated_bytes () in
+        let before = allocated_bytes () in
         match Mapper.map ~stats req k.dfg with
         | Error _ ->
           Table.add_row t (k.name :: List.map (fun _ -> "-") [ 1; 2; 3; 4; 5; 6; 7 ]);
           None
         | Ok m ->
-          let alloc = Gc.allocated_bytes () -. before in
+          let alloc = allocated_bytes () -. before in
           let routes = max 1 stats.Mapper.route_calls in
           Table.add_row t
             [ k.name;
