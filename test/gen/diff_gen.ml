@@ -155,7 +155,9 @@ let golden_lines () =
    [pathfinder]; the committed rows are the only ones whose slowed
    tiles make a hop span several port slots.  Pathfinder under the
    conventional cost model on 6x6 and committed fft under Pathfinder
-   are left out: they take seconds per case. *)
+   are left out: they take seconds per case.  A case whose last field
+   is [true] also pins the island levels {!Levels.assign} gives the
+   mapping. *)
 let counters (s : Mapper.stats) =
   Printf.sprintf
     "attempts=%d placements_tried=%d route_calls=%d route_failures=%d expansions=%d \
@@ -167,12 +169,14 @@ let counters (s : Mapper.stats) =
 let backend_cases () =
   let module Backend = Iced_mapper.Backend in
   let kernel name = Option.get (Iced_kernels.Registry.by_name name) in
-  let case ~fabric ~tag req (k : Iced_kernels.Kernel.t) backends =
+  let case ?(factor = 1) ?(levels = false) ~fabric ~tag req (k : Iced_kernels.Kernel.t)
+      backends =
     List.map
       (fun backend ->
         ( Printf.sprintf "%s:%s:%s:%s" (Backend.to_string backend) k.name fabric tag,
           { req with Mapper.backend },
-          k.dfg ))
+          Iced_kernels.Kernel.dfg_at k ~factor,
+          levels ))
       backends
   in
   let all = [ Backend.default; Backend.sa; Backend.pathfinder ] in
@@ -213,13 +217,45 @@ let backend_cases () =
         ("packing", { all_on with Mapper.packing = false });
         ("phase_alignment", { all_on with Mapper.phase_alignment = false });
         ("conventional_fallback", { all_on with Mapper.conventional_fallback = false }) ]
+  (* Table I at unroll 2, where the recurrences are longest *)
+  @ List.concat_map
+      (fun strategy ->
+        List.concat_map
+          (fun k ->
+            case ~factor:2 ~fabric:"6x6" ~tag:(strategy_to_string strategy ^ "-uf2")
+              (Mapper.request ~strategy Cgra.iced_6x6)
+              k [ Backend.default ])
+          Iced_kernels.Registry.all)
+      [ Mapper.Dvfs_aware; Mapper.Conventional ]
+  (* the island levels of Design's ICED and per-tile points *)
+  @ List.concat_map
+      (fun factor ->
+        List.concat_map
+          (fun k ->
+            let tag point = Printf.sprintf "%s-levels-uf%d" point factor in
+            case ~factor ~levels:true ~fabric:"6x6" ~tag:(tag "iced")
+              (Mapper.request ~strategy:Mapper.Dvfs_aware Cgra.iced_6x6)
+              k [ Backend.default ]
+            @ case ~factor ~levels:true ~fabric:"6x6" ~tag:(tag "per-tile")
+                (Mapper.request ~strategy:Mapper.Conventional (Cgra.per_tile Cgra.iced_6x6))
+                k [ Backend.default ])
+          Iced_kernels.Registry.all)
+      [ 1; 2 ]
+
+let island_levels (m : Mapping.t) =
+  "levels="
+  ^ String.concat ","
+      (List.map
+         (fun (island, level) -> Printf.sprintf "%d:%s" island (Dvfs.to_string level))
+         m.Mapping.island_levels)
 
 let backend_lines () =
   List.map
-    (fun (name, req, dfg) ->
+    (fun (name, req, dfg, levels) ->
       let stats = Mapper.create_stats () in
       let result =
         match Mapper.map ~stats req dfg with
+        | Ok m when levels -> fingerprint m ^ " " ^ island_levels (Iced_mapper.Levels.assign m)
         | Ok m -> fingerprint m
         | Error msg -> "FAIL:" ^ msg
       in
