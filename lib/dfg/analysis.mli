@@ -28,15 +28,29 @@ val res_mii : Graph.t -> tiles:int -> int
 val min_ii : Graph.t -> tiles:int -> int
 (** max(RecMII, ResMII). *)
 
+type recurrences = {
+  cycles : cycle list;  (** {!recurrence_cycles} *)
+  rec_mii : int;  (** {!rec_mii} *)
+  critical : int list;  (** {!critical_nodes} *)
+  secondary : int list;  (** {!secondary_cycle_nodes} *)
+}
+(** A DFG's recurrence structure, derived from one enumeration. *)
+
+val recurrences : Graph.t -> recurrences
+(** Enumerate the cycles once and derive the rest from them.  The
+    mapper builds one per DFG and reuses it for every attempt. *)
+
 val critical_nodes : Graph.t -> int list
 (** Nodes on a recurrence cycle whose [cycle_mii] equals the RecMII —
     the nodes Algorithm 1 pins at the [normal] DVFS level and that the
-    mapper must not slow down. *)
+    mapper must not slow down.  Sorted, without duplicates; the
+    [critical] field of {!recurrences}. *)
 
 val secondary_cycle_nodes : Graph.t -> int list
 (** Nodes on recurrence cycles of length at most half the longest
     cycle's length (and not critical) — labeled [relax] by
-    Algorithm 1. *)
+    Algorithm 1.  Sorted, without duplicates; the [secondary] field of
+    {!recurrences}. *)
 
 val asap : Graph.t -> (int * int) list
 (** ASAP level per node over the distance-0 subgraph (sources at 0).

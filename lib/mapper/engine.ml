@@ -76,7 +76,8 @@ type state = {
   labels : Dvfs.level array; (* node -> Algorithm 1 label *)
   estimate : Estimate.t;
   cycle_mates : int list array;
-      (* node -> members of the longest recurrence cycle through it, [] off cycles *)
+      (* node -> members of the longest recurrence cycle through it, [] off
+         cycles; read only, one per mapping run *)
   mrrg : Mrrg.t;
   place_tile : int array; (* node -> tile, -1 = unplaced *)
   place_time : int array; (* node -> start time, meaningful when placed *)

@@ -54,7 +54,8 @@ type state = {
   estimate : Estimate.t;
   cycle_mates : int list array;
       (** node -> members of the longest recurrence cycle through it
-          ([[]] off every cycle) *)
+          ([[]] off every cycle); read only, shared by every attempt of
+          a mapping run *)
   mrrg : Mrrg.t;
   place_tile : int array;  (** node -> tile, [-1] while unplaced *)
   place_time : int array;  (** node -> start time, read only when placed *)

@@ -1,9 +1,15 @@
 open Iced_dfg
 
-type t = (int, int) Hashtbl.t
+type plan = {
+  topo : int list;
+  inputs : (int * int * int) list array;
+      (* node -> (producer, distance, step) per in-edge, in predecessor order *)
+  rank : int array; (* node -> 1 on a cycle fed by another cycle, else 0 *)
+}
 
-let build dfg ~ii ~margin ~topo =
-  let cycles = Analysis.recurrence_cycles dfg in
+type t = int array
+
+let plan dfg ~(cycles : Analysis.cycle list) ~topo =
   let cycle_sets = List.map (fun c -> c.Analysis.members) cycles in
   let same_cycle a b =
     List.exists (fun members -> List.mem a members && List.mem b members) cycle_sets
@@ -35,29 +41,32 @@ let build dfg ~ii ~margin ~topo =
     in
     fun id -> if List.exists (fun members -> List.mem id members) dependent_cycles then 1 else 0
   in
-  let est : t = Hashtbl.create 64 in
-  let get id = match Hashtbl.find_opt est id with Some v -> v | None -> 0 in
+  let slots = 1 + List.fold_left max (-1) topo in
+  let inputs = Array.make slots [] and rank = Array.make slots 0 in
+  List.iter
+    (fun id ->
+      inputs.(id) <-
+        List.map
+          (fun (e : Graph.edge) -> (e.src, e.distance, if same_cycle e.src id then 1 else 2))
+          (Graph.predecessors dfg id);
+      rank.(id) <- cycle_rank id)
+    topo;
+  { topo; inputs; rank }
+
+let build plan ~ii ~margin =
+  let est = Array.make (Array.length plan.rank) 0 in
   for _sweep = 1 to 3 do
     List.iter
       (fun id ->
-        let bound =
+        est.(id) <-
           List.fold_left
-            (fun acc (e : Graph.edge) ->
-              let step = if same_cycle e.src id then 1 else 2 in
-              let b =
-                if e.distance = 0 then get e.src + step
-                else get e.src + 1 - (e.distance * ii)
-              in
+            (fun acc (src, distance, step) ->
+              let b = if distance = 0 then est.(src) + step else est.(src) + 1 - (distance * ii) in
               max acc b)
-            0
-            (Graph.predecessors dfg id)
-        in
-        Hashtbl.replace est id bound)
-      topo
+            0 plan.inputs.(id))
+      plan.topo
   done;
-  List.iter
-    (fun id -> Hashtbl.replace est id (get id + (margin * cycle_rank id)))
-    topo;
+  List.iter (fun id -> est.(id) <- est.(id) + (margin * plan.rank.(id))) plan.topo;
   est
 
-let start est id = match Hashtbl.find_opt est id with Some v -> max 0 v | None -> 0
+let start est id = if id < Array.length est then max 0 est.(id) else 0

@@ -13,12 +13,21 @@
 
 open Iced_dfg
 
+type plan
+(** The part of the estimate that depends on the DFG alone: each
+    in-edge's step (1 within a recurrence cycle, 2 otherwise) and each
+    node's cycle rank.  Built once per mapping run. *)
+
 type t
 
-val build : Graph.t -> ii:int -> margin:int -> topo:int list -> t
-(** Fixed-point sweep over [topo] (an intra-iteration topological
-    order); [margin] is the congestion slack granted to dependent
-    recurrence cycles — drawn from {!Cost.asap_margins}. *)
+val plan : Graph.t -> cycles:Analysis.cycle list -> topo:int list -> plan
+(** [cycles] are the DFG's recurrence cycles, [topo] an intra-iteration
+    topological order of every node. *)
+
+val build : plan -> ii:int -> margin:int -> t
+(** Fixed-point sweep over the plan's topological order at [ii];
+    [margin] is the congestion slack granted to dependent recurrence
+    cycles — drawn from {!Cost.asap_margins}. *)
 
 val start : t -> int -> int
 (** Estimated start cycle of a node (0 when unknown), clamped

@@ -7,7 +7,7 @@ let capacity_slots ~tiles ~ii = List.length tiles * ii
    by m makes each of its operations cover m base-clock slots. *)
 let slots_of_level level = Dvfs.multiplier level
 
-let label ?(floor = Dvfs.Rest) ?(guard = 0) g ~cgra ~tiles ~ii =
+let label ?(floor = Dvfs.Rest) ?(guard = 0) ?recurrences g ~cgra ~tiles ~ii =
   if tiles = [] then invalid_arg "Labeling.label: empty tile set";
   if ii <= 0 then invalid_arg "Labeling.label: non-positive II";
   if guard < 0 then invalid_arg "Labeling.label: negative guard";
@@ -22,8 +22,9 @@ let label ?(floor = Dvfs.Rest) ?(guard = 0) g ~cgra ~tiles ~ii =
     raise_floor floor guard
   in
   let clamp level = if Dvfs.at_most level floor then floor else level in
-  let critical = Analysis.critical_nodes g in
-  let secondary = Analysis.secondary_cycle_nodes g in
+  let { Analysis.critical; secondary; _ } =
+    match recurrences with Some r -> r | None -> Analysis.recurrences g
+  in
   let labels = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace labels id Dvfs.Normal) critical;
   List.iter

@@ -19,6 +19,7 @@ open Iced_dfg
 val label :
   ?floor:Dvfs.level ->
   ?guard:int ->
+  ?recurrences:Analysis.recurrences ->
   Graph.t ->
   cgra:Cgra.t ->
   tiles:int list ->
@@ -32,6 +33,8 @@ val label :
     fault-injection guard band: each guard step raises the effective
     floor one level, so upset-prone islands (whose low-voltage levels
     see transient timing faults) are labeled with extra voltage margin.
+    [recurrences] must be [Analysis.recurrences g]; pass it when
+    labeling one graph repeatedly to skip the cycle enumeration.
     @raise Invalid_argument if [tiles] is empty, [ii <= 0], or
     [guard < 0]. *)
 

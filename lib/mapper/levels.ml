@@ -39,58 +39,88 @@ let cycle_event_tiles mapping (cycle : Analysis.cycle) =
 
 let multiplier_of level = if Dvfs.is_active level then Dvfs.multiplier level else 0
 
-let island_events mapping island =
-  Cgra.island_tiles mapping.Mapping.cgra island
-  |> List.concat_map (fun tile -> Mapping.events_of_tile mapping tile)
-  |> List.map fst
+(* island -> start times of the FU executions and route hops on its
+   tiles, in one pass over the mapping (tiles off the fabric belong to
+   no island) *)
+let island_event_times mapping =
+  let cgra = mapping.Mapping.cgra in
+  let times = Array.make (Cgra.island_count cgra) [] in
+  let add tile time =
+    if tile >= 0 && tile < Cgra.tile_count cgra then begin
+      let island = Cgra.island_of cgra tile in
+      times.(island) <- time :: times.(island)
+    end
+  in
+  List.iter (fun (_, (tile, time)) -> add tile time) mapping.Mapping.placements;
+  List.iter
+    (fun (r : Mapping.route) -> List.iter (fun (h : Mapping.hop) -> add h.tile h.time) r.hops)
+    mapping.Mapping.routes;
+  times
+
+(* The soundness check with everything that depends on the mapping
+   alone taken out of it: [events] from {!island_event_times}, and each
+   recurrence cycle's event islands and distance, derived on first use.
+   The returned function only looks levels up, so a caller trying many
+   assignments of one mapping pays for the derivation once. *)
+let soundness mapping ~events =
+  let ii = mapping.Mapping.ii in
+  let cgra = mapping.Mapping.cgra in
+  let cycles =
+    lazy
+      (List.map
+         (fun (cycle : Analysis.cycle) ->
+           ( List.map (Cgra.island_of cgra) (cycle_event_tiles mapping cycle),
+             cycle.Analysis.distance ))
+         (Analysis.recurrence_cycles mapping.Mapping.dfg))
+  in
+  fun island_levels ->
+    let level_of island =
+      match List.assoc_opt island island_levels with Some l -> l | None -> Dvfs.Normal
+    in
+    let island_ok island =
+      let times = events.(island) in
+      match level_of island with
+      | Dvfs.Power_gated -> times = []
+      | Dvfs.Normal -> true
+      | (Dvfs.Relax | Dvfs.Rest) as level ->
+        let m = Dvfs.multiplier level in
+        ii mod m = 0
+        && (match times with
+           | [] -> true
+           | first :: rest ->
+             let phase = first mod m in
+             List.for_all (fun t -> t mod m = phase) rest)
+    in
+    let cycle_ok (islands, distance) =
+      let effective_length =
+        List.fold_left
+          (fun acc island -> acc + max 1 (multiplier_of (level_of island)))
+          0 islands
+      in
+      effective_length <= ii * distance
+    in
+    List.for_all island_ok (Cgra.islands cgra)
+    && List.for_all cycle_ok (Lazy.force cycles)
 
 let legal mapping island_levels =
-  let ii = mapping.Mapping.ii in
-  let level_of island =
-    match List.assoc_opt island island_levels with Some l -> l | None -> Dvfs.Normal
-  in
-  let island_ok island =
-    let times = island_events mapping island in
-    match level_of island with
-    | Dvfs.Power_gated -> times = []
-    | Dvfs.Normal -> true
-    | (Dvfs.Relax | Dvfs.Rest) as level ->
-      let m = Dvfs.multiplier level in
-      ii mod m = 0
-      && (match times with
-         | [] -> true
-         | first :: rest ->
-           let phase = first mod m in
-           List.for_all (fun t -> t mod m = phase) rest)
-  in
-  let cycle_ok (cycle : Analysis.cycle) =
-    let tiles = cycle_event_tiles mapping cycle in
-    let effective_length =
-      List.fold_left
-        (fun acc tile ->
-          let level = level_of (Cgra.island_of mapping.Mapping.cgra tile) in
-          acc + max 1 (multiplier_of level))
-        0 tiles
-    in
-    effective_length <= ii * cycle.Analysis.distance
-  in
-  List.for_all island_ok (Cgra.islands mapping.Mapping.cgra)
-  && List.for_all cycle_ok (Analysis.recurrence_cycles mapping.Mapping.dfg)
+  soundness mapping ~events:(island_event_times mapping) island_levels
 
 let assign ?(floor = Dvfs.Rest) ?(allow_gating = true) mapping =
   let cgra = mapping.Mapping.cgra in
-  let busy island = List.length (island_events mapping island) in
+  let events = island_event_times mapping in
+  let legal = soundness mapping ~events in
+  let busy island = List.length events.(island) in
   let initial =
     List.map
       (fun island ->
-        if island_events mapping island = [] then
+        if events.(island) = [] then
           (island, if allow_gating then Dvfs.Power_gated else floor)
         else (island, Dvfs.Normal))
       (Cgra.islands cgra)
   in
   let order =
     Cgra.islands cgra
-    |> List.filter (fun island -> island_events mapping island <> [])
+    |> List.filter (fun island -> events.(island) <> [])
     |> List.sort (fun a b -> compare (busy a, a) (busy b, b))
   in
   let try_levels =
@@ -104,7 +134,7 @@ let assign ?(floor = Dvfs.Rest) ?(allow_gating = true) mapping =
           | [] -> levels
           | level :: rest ->
             let trial = candidate level in
-            if legal mapping trial then trial else attempt rest
+            if legal trial then trial else attempt rest
         in
         attempt try_levels)
       initial order
@@ -116,9 +146,9 @@ let all_normal mapping =
     (List.map (fun island -> (island, Dvfs.Normal)) (Cgra.islands mapping.Mapping.cgra))
 
 let normal_with_gating mapping =
+  let events = island_event_times mapping in
   Mapping.with_levels mapping
     (List.map
        (fun island ->
-         if island_events mapping island = [] then (island, Dvfs.Power_gated)
-         else (island, Dvfs.Normal))
+         if events.(island) = [] then (island, Dvfs.Power_gated) else (island, Dvfs.Normal))
        (Cgra.islands mapping.Mapping.cgra))

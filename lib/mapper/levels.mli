@@ -30,7 +30,9 @@ val assign : ?floor:Dvfs.level -> ?allow_gating:bool -> Mapping.t -> Mapping.t
     bounds how low an {e active} island may go; [allow_gating]
     (default true) controls whether idle islands are power-gated
     rather than kept at [floor] (streaming kernels keep their islands
-    clocked).  The result's [island_levels] covers every island. *)
+    clocked).  The result's [island_levels] covers every island.  The
+    mapping's per-island event times and per-cycle event islands are
+    derived once per call; each trial only looks levels up. *)
 
 val all_normal : Mapping.t -> Mapping.t
 (** The no-DVFS baseline: every island at [Normal]. *)

@@ -55,171 +55,185 @@ let place_and_route (state : Engine.state) order =
       | Backend.Incremental -> Engine.route_complete state
       | Backend.Negotiated p -> Pathfinder.route_all p state))
 
-let attempt_ii ~scratch ~candidates ~stats req dfg ~tiles ~memory_tiles ~ii ~margin =
+(* Everything an attempt needs that depends on the DFG alone, derived
+   once per mapping run and shared by every II, margin and cost-model
+   attempt. *)
+type context = {
+  recurrences : Analysis.recurrences;
+  estimate : Estimate.plan;  (* holds the intra-iteration topological order *)
+  cycle_mates : int list array;
+      (* node -> members of the longest recurrence cycle through it *)
+  order : int list;  (* placement order *)
+}
+
+(* Placement order.  Two rules, both standard in modulo scheduling:
+   - nodes on the tightest recurrence cycles go first (a cycle of
+     length L must close within II * distance, so its members must grab
+     adjacent slots before unconstrained nodes squat on them);
+   - every other phi is deferred until just after its carried
+     producers: its window [t_prod + 1 - d*II, t_consumer - 1] is then
+     exact, with no reliance on ASAP guesses.  Consumers placed before
+     such a phi see no hard bound from it (the phi's value arrives from
+     a previous iteration). *)
+let placement_order dfg (r : Analysis.recurrences) topo =
+  let critical = r.Analysis.critical in
+  let carried_producers id =
+    List.filter_map
+      (fun (e : Graph.edge) -> if e.distance > 0 then Some e.src else None)
+      (Graph.predecessors dfg id)
+  in
+  let share_cycle a b =
+    List.exists
+      (fun (c : Analysis.cycle) -> List.mem a c.members && List.mem b c.members)
+      r.Analysis.cycles
+  in
+  let deferred id =
+    (Graph.node dfg id).op = Op.Phi
+    && carried_producers id <> []
+    && (not (List.mem id critical))
+    (* deferral is only safe when every consumer lies on the phi's own
+       cycle: off-cycle consumers placed first would pin the phi from
+       several scattered tiles at once *)
+    && List.for_all
+         (fun (e : Graph.edge) -> e.distance > 0 || share_cycle id e.dst)
+         (Graph.successors dfg id)
+  in
+  let critical_first = List.filter (fun id -> List.mem id critical) topo in
+  let plain_body =
+    List.filter (fun id -> (not (List.mem id critical)) && not (deferred id)) topo
+  in
+  let insert_after_producers body phi =
+    let producers = List.filter (fun p -> List.mem p body) (carried_producers phi) in
+    if producers = [] then phi :: body
+    else begin
+      let rec go remaining = function
+        | [] -> [ phi ]
+        | id :: rest ->
+          let remaining = List.filter (fun p -> p <> id) remaining in
+          if remaining = [] then id :: phi :: rest else id :: go remaining rest
+      in
+      go producers body
+    end
+  in
+  critical_first @ List.fold_left insert_after_producers plain_body (List.filter deferred topo)
+
+(* [dfg] has passed [Graph.validate], so its intra subgraph is acyclic. *)
+let context dfg =
+  let topo =
+    match Graph.intra_topological dfg with
+    | Some topo -> topo
+    | None -> invalid_arg "Search.context: cyclic intra-iteration subgraph"
+  in
+  let recurrences = Analysis.recurrences dfg in
+  let cycle_mates = Array.make (Engine.node_slots dfg) [] in
+  List.iter
+    (fun (c : Analysis.cycle) ->
+      List.iter
+        (fun id ->
+          if List.length cycle_mates.(id) < List.length c.members then
+            cycle_mates.(id) <- c.members)
+        c.members)
+    recurrences.Analysis.cycles;
+  {
+    recurrences;
+    estimate = Estimate.plan dfg ~cycles:recurrences.Analysis.cycles ~topo;
+    cycle_mates;
+    order = placement_order dfg recurrences topo;
+  }
+
+let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin =
   let labels =
     match req.strategy with
     | Conventional -> List.map (fun id -> (id, Dvfs.Normal)) (Graph.node_ids dfg)
     | Dvfs_aware ->
-      Labeling.label ~floor:req.label_floor ~guard:req.label_guard dfg ~cgra:req.cgra ~tiles
-        ~ii
+      Labeling.label ~floor:req.label_floor ~guard:req.label_guard
+        ~recurrences:ctx.recurrences dfg ~cgra:req.cgra ~tiles ~ii
   in
-  match Graph.intra_topological dfg with
-  | None -> Error "cyclic intra-iteration subgraph"
-  | Some topo ->
-    let committed =
-      if not req.commit_islands then None
-      else begin
-        (* island quota per level from the labels: how many islands'
-           worth of tile-time each level's nodes need (a slowed node
-           occupies multiplier-many slots); at least one island per
-           level that has any demand, faster levels served first *)
-        let islands =
-          List.sort_uniq compare (List.map (Cgra.island_of req.cgra) tiles)
-        in
-        let island_slots =
-          match islands with
-          | [] -> 1
-          | i :: _ -> List.length (Cgra.island_tiles req.cgra i) * ii
-        in
-        let demand level =
-          List.fold_left
-            (fun acc (_, l) -> if l = level then acc + Dvfs.multiplier level else acc)
-            0 labels
-        in
-        let want level =
-          let d = demand level in
-          if d = 0 then 0 else max 1 ((d + island_slots - 1) / island_slots)
-        in
-        let table = Hashtbl.create 16 in
-        (* Slowed islands are allocated minimally, from the end of the
-           island list (away from the SPM column); everything left is
-           Normal — surplus normal islands cost nothing (the critical
-           path needs room, and idle ones are power-gated anyway),
-           whereas a starved normal quota would fragment the critical
-           cycle across islands and destroy the II. *)
-        let rec take_from_end islands levels =
-          match levels with
-          | [] -> List.iter (fun i -> Hashtbl.replace table i Dvfs.Normal) islands
-          | level :: faster ->
-            let n = min (want level) (max 0 (List.length islands - 1)) in
-            let cut = List.length islands - n in
-            let keep = List.filteri (fun i _ -> i < cut) islands in
-            let taken = List.filteri (fun i _ -> i >= cut) islands in
-            List.iter (fun i -> Hashtbl.replace table i level) taken;
-            take_from_end keep faster
-        in
-        take_from_end islands [ Dvfs.Rest; Dvfs.Relax ];
-        Some table
-      end
-    in
-    let slots = Engine.node_slots dfg in
-    let state =
+  let committed =
+    if not req.commit_islands then None
+    else begin
+      (* island quota per level from the labels: how many islands'
+         worth of tile-time each level's nodes need (a slowed node
+         occupies multiplier-many slots); at least one island per
+         level that has any demand, faster levels served first *)
+      let islands = List.sort_uniq compare (List.map (Cgra.island_of req.cgra) tiles) in
+      let island_slots =
+        match islands with
+        | [] -> 1
+        | i :: _ -> List.length (Cgra.island_tiles req.cgra i) * ii
+      in
+      let demand level =
+        List.fold_left
+          (fun acc (_, l) -> if l = level then acc + Dvfs.multiplier level else acc)
+          0 labels
+      in
+      let want level =
+        let d = demand level in
+        if d = 0 then 0 else max 1 ((d + island_slots - 1) / island_slots)
+      in
+      let table = Hashtbl.create 16 in
+      (* Slowed islands are allocated minimally, from the end of the
+         island list (away from the SPM column); everything left is
+         Normal — surplus normal islands cost nothing (the critical
+         path needs room, and idle ones are power-gated anyway),
+         whereas a starved normal quota would fragment the critical
+         cycle across islands and destroy the II. *)
+      let rec take_from_end islands levels =
+        match levels with
+        | [] -> List.iter (fun i -> Hashtbl.replace table i Dvfs.Normal) islands
+        | level :: faster ->
+          let n = min (want level) (max 0 (List.length islands - 1)) in
+          let cut = List.length islands - n in
+          let keep = List.filteri (fun i _ -> i < cut) islands in
+          let taken = List.filteri (fun i _ -> i >= cut) islands in
+          List.iter (fun i -> Hashtbl.replace table i level) taken;
+          take_from_end keep faster
+      in
+      take_from_end islands [ Dvfs.Rest; Dvfs.Relax ];
+      Some table
+    end
+  in
+  let slots = Engine.node_slots dfg in
+  let state =
+    {
+      Engine.dfg;
+      req;
+      tiles;
+      memory_tiles;
+      ii;
+      labels =
+        (let table = Array.make slots Dvfs.Normal in
+         List.iter (fun (id, level) -> table.(id) <- level) labels;
+         table);
+      estimate = Estimate.build ctx.estimate ~ii ~margin;
+      cycle_mates = ctx.cycle_mates;
+      mrrg = Mrrg.create ~tiles ~dead_links:req.dead_links req.cgra ~ii;
+      place_tile = Array.make slots (-1);
+      place_time = Array.make slots 0;
+      routes = [];
+      island_level = Array.make (Cgra.island_count req.cgra) None;
+      committed;
+      scratch;
+      candidates;
+      stats;
+    }
+  in
+  match place_and_route state ctx.order with
+  | Error _ as e -> e
+  | Ok () ->
+    let placements = Engine.placements state in
+    Ok
       {
-        Engine.dfg;
-        req;
+        Mapping.dfg;
+        cgra = req.cgra;
+        ii;
         tiles;
         memory_tiles;
-        ii;
-        labels =
-          (let table = Array.make slots Dvfs.Normal in
-           List.iter (fun (id, level) -> table.(id) <- level) labels;
-           table);
-        estimate = Estimate.build dfg ~ii ~margin ~topo;
-        cycle_mates =
-          (let table = Array.make slots [] in
-           List.iter
-             (fun (c : Analysis.cycle) ->
-               List.iter
-                 (fun id ->
-                   if List.length table.(id) < List.length c.members then
-                     table.(id) <- c.members)
-                 c.members)
-             (Analysis.recurrence_cycles dfg);
-           table);
-        mrrg = Mrrg.create ~tiles ~dead_links:req.dead_links req.cgra ~ii;
-        place_tile = Array.make slots (-1);
-        place_time = Array.make slots 0;
-        routes = [];
-        island_level = Array.make (Cgra.island_count req.cgra) None;
-        committed;
-        scratch;
-        candidates;
-        stats;
+        placements;
+        routes = state.Engine.routes;
+        labels;
+        island_levels = List.map (fun island -> (island, Dvfs.Normal)) (Cgra.islands req.cgra);
       }
-    in
-    (* Placement order.  Two rules, both standard in modulo
-       scheduling:
-       - nodes on the tightest recurrence cycles go first (a cycle of
-         length L must close within II * distance, so its members must
-         grab adjacent slots before unconstrained nodes squat on them);
-       - every other phi is deferred until just after its carried
-         producers: its window [t_prod + 1 - d*II, t_consumer - 1] is
-         then exact, with no reliance on ASAP guesses.  Consumers placed
-         before such a phi see no hard bound from it (the phi's value
-         arrives from a previous iteration). *)
-    let critical = Analysis.critical_nodes dfg in
-    let carried_producers id =
-      List.filter_map
-        (fun (e : Graph.edge) -> if e.distance > 0 then Some e.src else None)
-        (Graph.predecessors dfg id)
-    in
-    let cycles = Analysis.recurrence_cycles dfg in
-    let share_cycle a b =
-      List.exists
-        (fun (c : Analysis.cycle) -> List.mem a c.members && List.mem b c.members)
-        cycles
-    in
-    let deferred id =
-      (Graph.node dfg id).op = Op.Phi
-      && carried_producers id <> []
-      && (not (List.mem id critical))
-      (* deferral is only safe when every consumer lies on the phi's
-         own cycle: off-cycle consumers placed first would pin the phi
-         from several scattered tiles at once *)
-      && List.for_all
-           (fun (e : Graph.edge) -> e.distance > 0 || share_cycle id e.dst)
-           (Graph.successors dfg id)
-    in
-    let critical_first = List.filter (fun id -> List.mem id critical) topo in
-    let plain_body =
-      List.filter (fun id -> (not (List.mem id critical)) && not (deferred id)) topo
-    in
-    let insert_after_producers body phi =
-      let producers =
-        List.filter (fun p -> List.mem p body) (carried_producers phi)
-      in
-      if producers = [] then phi :: body
-      else begin
-        let rec go remaining = function
-          | [] -> [ phi ]
-          | id :: rest ->
-            let remaining = List.filter (fun p -> p <> id) remaining in
-            if remaining = [] then id :: phi :: rest else id :: go remaining rest
-        in
-        go producers body
-      end
-    in
-    let order =
-      critical_first
-      @ List.fold_left insert_after_producers plain_body (List.filter deferred topo)
-    in
-    (match place_and_route state order with
-    | Error _ as e -> e
-    | Ok () ->
-      let placements = Engine.placements state in
-      Ok
-        {
-          Mapping.dfg;
-          cgra = req.cgra;
-          ii;
-          tiles;
-          memory_tiles;
-          placements;
-          routes = state.Engine.routes;
-          labels;
-          island_levels =
-            List.map (fun island -> (island, Dvfs.Normal)) (Cgra.islands req.cgra);
-        })
 
 let run ?stats (req : request) dfg =
   let t = Telemetry.create () in
@@ -253,7 +267,11 @@ let run ?stats (req : request) dfg =
               let min_col = List.fold_left (fun acc t -> min acc (col_of t)) max_int tiles in
               List.filter (fun t -> col_of t = min_col) tiles
           in
-          let start_ii = Analysis.min_ii dfg ~tiles:(List.length tiles) in
+          let ctx = context dfg in
+          let start_ii =
+            max ctx.recurrences.Analysis.rec_mii
+              (Analysis.res_mii dfg ~tiles:(List.length tiles))
+          in
           let rec search ii last_err =
             if req.cancel () then
               Error (Printf.sprintf "deadline exceeded at II=%d (last: %s)" ii last_err)
@@ -269,8 +287,8 @@ let run ?stats (req : request) dfg =
                   t.Telemetry.attempts <- t.Telemetry.attempts + 1;
                   t.Telemetry.margin_position <- position;
                   match
-                    attempt_ii ~scratch ~candidates ~stats:t req dfg ~tiles ~memory_tiles ~ii
-                      ~margin
+                    attempt_ii ~scratch ~candidates ~stats:t ~ctx req dfg ~tiles
+                      ~memory_tiles ~ii ~margin
                   with
                   | Ok mapping -> Ok mapping
                   | Error msg -> margins req msg (position + 1) rest)

@@ -43,5 +43,8 @@ val run : ?stats:Telemetry.t -> request -> Graph.t -> (Mapping.t, string) result
 (** One full mapping search: II ladder from max(RecMII, ResMII) up to
     [max_ii], every congestion margin (and, for [Dvfs_aware], the
     conventional-fallback retry) per II.  A single routing scratch
-    arena is reused across the entire search.  Telemetry is accumulated
-    internally and merged into [stats] when given. *)
+    arena is reused across the entire search, and so is everything that
+    depends on the DFG alone: its recurrence structure
+    ({!Analysis.recurrences}), the schedule estimate's per-DFG part and
+    the placement order.  Telemetry is accumulated internally and
+    merged into [stats] when given. *)

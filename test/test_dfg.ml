@@ -249,6 +249,57 @@ let prop_unroll_preserves_validity =
         && Analysis.rec_mii parallel >= 1
         && Analysis.rec_mii serial >= base)
 
+(* The per-field definitions [Analysis.recurrences] replaced, each
+   rebuilt from its own cycle enumeration. *)
+let reference_recurrences g =
+  let critical_of cycles =
+    let mii = List.fold_left (fun acc c -> max acc (Analysis.cycle_mii c)) 1 cycles in
+    cycles
+    |> List.filter (fun c -> Analysis.cycle_mii c = mii)
+    |> List.concat_map (fun c -> c.Analysis.members)
+    |> List.sort_uniq compare
+  in
+  let secondary_of cycles =
+    match cycles with
+    | [] -> []
+    | _ ->
+      let longest = List.fold_left (fun acc c -> max acc c.Analysis.length) 0 cycles in
+      let critical = critical_of (Analysis.recurrence_cycles g) in
+      cycles
+      |> List.filter (fun c -> c.Analysis.length * 2 <= longest)
+      |> List.concat_map (fun c -> c.Analysis.members)
+      |> List.filter (fun id -> not (List.mem id critical))
+      |> List.sort_uniq compare
+  in
+  {
+    Analysis.cycles = Analysis.recurrence_cycles g;
+    rec_mii = Analysis.rec_mii g;
+    critical = critical_of (Analysis.recurrence_cycles g);
+    secondary = secondary_of (Analysis.recurrence_cycles g);
+  }
+
+let table1_graphs () =
+  List.concat_map
+    (fun (k : Iced_kernels.Kernel.t) ->
+      List.map
+        (fun factor ->
+          (Printf.sprintf "%s uf%d" k.name factor, Iced_kernels.Kernel.dfg_at k ~factor))
+        [ 1; 2 ])
+    Iced_kernels.Registry.all
+
+let test_recurrences_table1 () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) (name ^ " recurrences") true
+        (Analysis.recurrences g = reference_recurrences g))
+    (table1_graphs ())
+
+let prop_recurrences_random_loops =
+  QCheck.Test.make ~name:"recurrences of random loops match the per-field definitions"
+    ~count:100 (QCheck.make random_loop_gen) (fun input ->
+      let g, _ = build_random_loop input in
+      Analysis.recurrences g = reference_recurrences g)
+
 let suite =
   [
     ("graph basics", `Quick, test_graph_basics);
@@ -274,4 +325,6 @@ let suite =
     ("dead code elimination", `Quick, test_dce);
     ("dot export", `Quick, test_dot_export);
     QCheck_alcotest.to_alcotest prop_unroll_preserves_validity;
+    ("recurrences of Table I kernels, uf1 and uf2", `Quick, test_recurrences_table1);
+    QCheck_alcotest.to_alcotest prop_recurrences_random_loops;
   ]

@@ -641,6 +641,26 @@ let test_legacy_unknown_reports_first_undecided () =
   in
   find_budget 8
 
+(* Passing the graph's recurrences to Algorithm 1 must not change a
+   label, at any II. *)
+let labels_agree g =
+  let recurrences = Analysis.recurrences g in
+  List.for_all
+    (fun ii ->
+      Labeling.label ~recurrences g ~cgra ~tiles:all_tiles ~ii
+      = Labeling.label g ~cgra ~tiles:all_tiles ~ii)
+    [ 1; 2; 4; 8 ]
+
+let test_labeling_recurrences_table1 () =
+  List.iter
+    (fun (name, g) -> Alcotest.(check bool) (name ^ " labels") true (labels_agree g))
+    (Test_dfg.table1_graphs ())
+
+let prop_labeling_recurrences_random_loops =
+  QCheck.Test.make ~name:"labeling: given recurrences, random loops" ~count:100
+    (QCheck.make Test_dfg.random_loop_gen) (fun input ->
+      labels_agree (fst (Test_dfg.build_random_loop input)))
+
 let suite =
   [
     ("labeling: critical nodes normal", `Quick, test_labeling_critical_normal);
@@ -686,4 +706,7 @@ let suite =
     ("bitstream: covers the schedule", `Quick, test_bitstream_covers_schedule);
     ("bitstream: encode/decode roundtrip", `Quick, test_bitstream_roundtrip);
     ("bitstream: size accounting", `Quick, test_bitstream_size);
+    ("labeling: given recurrences, Table I uf1 and uf2", `Quick,
+     test_labeling_recurrences_table1);
+    QCheck_alcotest.to_alcotest prop_labeling_recurrences_random_loops;
   ]
