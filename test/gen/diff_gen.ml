@@ -241,6 +241,10 @@ let backend_cases () =
                 k [ Backend.default ])
           Iced_kernels.Registry.all)
       [ 1; 2 ]
+  (* the other synth-shootout graph, on its 10x10 fabric *)
+  @ case ~fabric:"10x10" ~tag:"dvfs"
+      (Mapper.request ~strategy:Mapper.Dvfs_aware (Cgra.make ~rows:10 ~cols:10 ()))
+      (kernel "rand60x2") all
 
 let island_levels (m : Mapping.t) =
   "levels="
