@@ -14,9 +14,10 @@ let deficit_cost = 5_000
 
 (* Estimated cost of one dependence given explicit endpoint
    coordinates: wirelength at router prices plus wait slack (mirroring
-   the hop and wait terms of {!Engine.collect_candidates}' placement
-   cost), or a steep penalty per missing cycle when the deadline is
-   unmeetable. *)
+   the hop and wait terms of the placement cost that
+   {!Engine.collect_candidates} and {!Engine.pop_candidate} order the
+   greedy placer's slots by), or a steep penalty per missing cycle when
+   the deadline is unmeetable. *)
 let edge_cost state (e : Graph.edge) ~src_tile ~src_time ~dst_tile ~dst_time =
   let dist = Cgra.manhattan state.req.cgra src_tile dst_tile in
   let slack = dst_time + edge_slack state e - (src_time + dist + 1) in

@@ -44,6 +44,16 @@ val request : ?strategy:strategy -> ?backend:Backend.t -> ?tiles:int list ->
   ?dead_links:(int * Dir.t) list -> ?commit_islands:bool ->
   Cgra.t -> request
 
+type candidates
+(** The greedy placer's candidate heap and the int scratch it is filled
+    from: the placed neighbours of the node being placed and, per tile,
+    its window and tile cost.  One per mapping run, reused by every
+    attempt; filled by {!collect_candidates}, drained by
+    {!pop_candidate}.  Not thread-safe. *)
+
+val create_candidates : unit -> candidates
+(** Empty candidates; the arrays are sized by the first collect. *)
+
 type state = {
   dfg : Graph.t;
   req : request;
@@ -64,8 +74,8 @@ type state = {
       (** island -> tentative level ([None] = not opened), Dvfs_aware only *)
   committed : (int, Dvfs.level) Hashtbl.t option;  (** island -> level, commit mode *)
   scratch : Router.scratch;
-  candidates : Iced_util.Heap.t;
-      (** the greedy placer's candidate slots, filled by
+  candidates : candidates;
+      (** the greedy placer's candidates, filled by
           {!collect_candidates} *)
   stats : Telemetry.t;
 }
@@ -117,17 +127,28 @@ val route_extra_cost : state -> tile:int -> time:int -> int
 val time_window : state -> int -> int -> int * int
 (** [time_window state node tile] is [(est, lst)]: the earliest sound
     start honouring placed producers and the schedule estimate, and the
-    latest start admissible for placed consumers ([max_int] = none). *)
+    latest start admissible for placed consumers ([max_int] = none).
+    It reuses [state.candidates]' neighbour scan, which a drain in
+    progress does not read. *)
 
 val collect_candidates : state -> int -> int list -> unit
 (** [collect_candidates state node tiles] refills [state.candidates]
-    with every free FU slot of [tiles] in [node]'s {!time_window}, keyed
-    by a lower-bound placement cost that never touches the router.  The
-    tile terms of that cost are computed once per tile, not per slot. *)
+    for [node] over [tiles] (each listed once).  It scans the node's
+    placed neighbours once, then pushes one entry per tile whose
+    {!time_window} is not empty, keyed by a lower bound on the
+    placement cost of that tile's slots; no slot is scored yet.  A
+    slot's cost is a lower bound that never touches the router. *)
 
 val pop_candidate : state -> (int * int) option
-(** Remove the cheapest [(tile, time)] left in [state.candidates]; ties
-    in cost go to the lower tile, then the earlier time. *)
+(** Remove the cheapest [(tile, time)] left; ties in cost go to the
+    lower tile, then the earlier time.  A tile entry that comes up
+    first is expanded: each FU-free slot of its window is pushed under
+    its exact cost, read from the MRRG and island phases at that
+    moment.  The slots therefore pop in the order that scoring every
+    slot at {!collect_candidates} and sorting would give, provided
+    that whatever the caller does between pops is undone exactly
+    before the next: a failed candidate's FU and port reservations are
+    released, and island levels change only on success. *)
 
 val route_incident : state -> int -> int -> int ->
   (Mapping.route list, string) result

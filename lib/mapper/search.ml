@@ -141,7 +141,9 @@ let context dfg =
     order = placement_order dfg recurrences topo;
   }
 
-let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin =
+(* A fresh attempt state at [ii] and [margin]: labels, committed
+   islands, schedule estimate and an empty MRRG; nothing placed. *)
+let attempt_state ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin =
   let labels =
     match req.strategy with
     | Conventional -> List.map (fun id -> (id, Dvfs.Normal)) (Graph.node_ids dfg)
@@ -194,7 +196,7 @@ let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii
     end
   in
   let slots = Engine.node_slots dfg in
-  let state =
+  ( labels,
     {
       Engine.dfg;
       req;
@@ -216,7 +218,11 @@ let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii
       scratch;
       candidates;
       stats;
-    }
+    } )
+
+let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin =
+  let labels, state =
+    attempt_state ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin
   in
   match place_and_route state ctx.order with
   | Error _ as e -> e
@@ -235,10 +241,45 @@ let attempt_ii ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles ~ii
         island_levels = List.map (fun island -> (island, Dvfs.Normal)) (Cgra.islands req.cgra);
       }
 
+(* The request's placement tiles (its sub-fabric minus dead tiles,
+   ascending) and memory tiles (by default the leftmost column among
+   them). *)
+let fabric (req : request) =
+  let tiles =
+    let requested =
+      match req.tiles with
+      | Some ts -> List.sort_uniq compare ts
+      | None -> List.init (Cgra.tile_count req.cgra) (fun i -> i)
+    in
+    List.filter (fun t -> not (List.mem t req.dead_tiles)) requested
+  in
+  let memory_tiles =
+    match req.memory_tiles with
+    | Some ts -> List.filter (fun t -> not (List.mem t req.dead_tiles)) ts
+    | None ->
+      let col_of tile = snd (Cgra.position req.cgra tile) in
+      let min_col = List.fold_left (fun acc t -> min acc (col_of t)) max_int tiles in
+      List.filter (fun t -> col_of t = min_col) tiles
+  in
+  (tiles, memory_tiles)
+
+let attempt req dfg ~ii ~margin =
+  (match Graph.validate dfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Search.attempt: invalid DFG: " ^ msg));
+  let tiles, memory_tiles = fabric req in
+  if tiles = [] then invalid_arg "Search.attempt: empty tile set";
+  let ctx = context dfg in
+  let _, state =
+    attempt_state ~scratch:(Router.create_scratch ()) ~candidates:(Engine.create_candidates ())
+      ~stats:(Telemetry.create ()) ~ctx req dfg ~tiles ~memory_tiles ~ii ~margin
+  in
+  (state, ctx.order)
+
 let run ?stats (req : request) dfg =
   let t = Telemetry.create () in
   let scratch = Router.create_scratch () in
-  let candidates = Iced_util.Heap.create () in
+  let candidates = Engine.create_candidates () in
   let t0 = Clock.now () in
   let compute () =
     match Graph.validate dfg with
@@ -246,27 +287,12 @@ let run ?stats (req : request) dfg =
     | Ok () ->
       if Graph.node_count dfg = 0 then Error "empty DFG"
       else begin
-        let tiles =
-          let requested =
-            match req.tiles with
-            | Some ts -> List.sort_uniq compare ts
-            | None -> List.init (Cgra.tile_count req.cgra) (fun i -> i)
-          in
-          List.filter (fun t -> not (List.mem t req.dead_tiles)) requested
-        in
+        let tiles, memory_tiles = fabric req in
         if tiles = [] then
           Error
             (if req.dead_tiles = [] then "empty tile set"
              else "empty tile set (every tile of the sub-fabric is faulted)")
         else begin
-          let memory_tiles =
-            match req.memory_tiles with
-            | Some ts -> List.filter (fun t -> not (List.mem t req.dead_tiles)) ts
-            | None ->
-              let col_of tile = snd (Cgra.position req.cgra tile) in
-              let min_col = List.fold_left (fun acc t -> min acc (col_of t)) max_int tiles in
-              List.filter (fun t -> col_of t = min_col) tiles
-          in
           let ctx = context dfg in
           let start_ii =
             max ctx.recurrences.Analysis.rec_mii

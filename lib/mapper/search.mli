@@ -48,3 +48,11 @@ val run : ?stats:Telemetry.t -> request -> Graph.t -> (Mapping.t, string) result
     ({!Analysis.recurrences}), the schedule estimate's per-DFG part and
     the placement order.  Telemetry is accumulated internally and
     merged into [stats] when given. *)
+
+val attempt : request -> Graph.t -> ii:int -> margin:int -> Engine.state * int list
+(** A fresh state for one attempt at [ii] and [margin] (from
+    {!Cost.asap_margins} or {!Cost.committed_margins}), built as {!run}
+    builds each attempt's: labels, committed islands, schedule estimate
+    and an empty MRRG, with nothing placed.  Returned with the
+    placement order, so a placer can be driven node by node.
+    @raise Invalid_argument on an invalid DFG or an empty tile set. *)
