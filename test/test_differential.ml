@@ -141,6 +141,16 @@ let test_stream_unchanged () =
   check_against_golden ~what:"streaming" stream_golden_path
     (Iced_testgen.Stream_gen.golden_lines ())
 
+(* test/golden/sat_golden.txt pins the SAT solver's search on the exact
+   oracle's encodings, pigeonhole and seeded random CNFs, and the
+   certify reports built on it (see Iced_testgen.Sat_gen): a change to
+   the solver's storage or the encoder's clause emission must reproduce
+   every outcome, counter and model. *)
+let sat_golden_path = "golden/sat_golden.txt"
+
+let test_sat_unchanged () =
+  check_against_golden ~what:"sat" sat_golden_path (Iced_testgen.Sat_gen.golden_lines ())
+
 let suite =
   [
     ("golden corpus has no FAIL cases", `Quick, test_corpus_has_no_failures);
@@ -149,4 +159,5 @@ let suite =
     ("telemetry populated by Mapper.map", `Quick, test_stats_populated);
     ("certified minimal IIs match the fixture", `Slow, test_certified_ii_fixture);
     ("streaming runs unchanged vs golden", `Quick, test_stream_unchanged);
+    ("sat solver unchanged vs golden", `Slow, test_sat_unchanged);
   ]
