@@ -294,7 +294,17 @@ let max_route_blocks_per_ii = 1_000
    routing until a model routes, the CNF is refuted, or the conflict
    budget is spent. *)
 let decide_ii ?stats cgra g ~ii ~budget ~seed (c : cegar) =
-  match Encode.build cgra g ~ii with
+  let built =
+    Obs.span
+      ~result:(function
+        | Ok enc ->
+          let s = Encode.solver enc in
+          [ ("vars", Obs.Int (Solver.var_count s)); ("clauses", Obs.Int (Solver.clause_count s)) ]
+        | Error msg -> [ ("error", Obs.Str msg) ])
+      ~cat:"exact" ~name:"encode"
+      (fun () -> Encode.build cgra g ~ii)
+  in
+  match built with
   | Error _ ->
     (* structurally too large to encode: undecided, like a budget *)
     ( `Budget,
@@ -313,7 +323,22 @@ let decide_ii ?stats cgra g ~ii ~budget ~seed (c : cegar) =
       let remaining = budget - spent in
       if remaining <= 0 || blocks >= max_route_blocks_per_ii then `Budget
       else
-        match Solver.solve ~budget:remaining ~seed s with
+        let before = (Solver.stats s).Solver.conflicts in
+        match
+          Obs.span
+            ~result:(fun o ->
+              [
+                ( "outcome",
+                  Obs.Str
+                    (match o with
+                    | Solver.Sat -> "sat"
+                    | Solver.Unsat -> "unsat"
+                    | Solver.Unknown -> "unknown") );
+                ("conflicts", Obs.Int ((Solver.stats s).Solver.conflicts - before));
+              ])
+            ~cat:"exact" ~name:"solve"
+            (fun () -> Solver.solve ~budget:remaining ~seed s)
+        with
         | Solver.Unsat -> `Refuted
         | Solver.Unknown -> `Budget
         | Solver.Sat -> (
