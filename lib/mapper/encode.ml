@@ -120,22 +120,20 @@ let build cgra g ~ii =
           List.iter
             (fun n ->
               let nv = Hashtbl.find vars n in
-              Array.iteri
-                (fun mi tile ->
-                  Array.iteri
-                    (fun ni tile' ->
-                      if tile = tile' then
-                        for k = 0 to ii - 1 do
-                          Solver.add_clause s
-                            [
-                              Solver.neg mv.x.(mi);
-                              Solver.neg nv.x.(ni);
-                              Solver.neg mv.slot.(k);
-                              Solver.neg nv.slot.(k);
-                            ]
-                        done)
-                    nv.dom)
-                mv.dom)
+              for mi = 0 to Array.length mv.dom - 1 do
+                for ni = 0 to Array.length nv.dom - 1 do
+                  if mv.dom.(mi) = nv.dom.(ni) then
+                    for k = 0 to ii - 1 do
+                      Solver.add_clause s
+                        [
+                          Solver.neg mv.x.(mi);
+                          Solver.neg nv.x.(ni);
+                          Solver.neg mv.slot.(k);
+                          Solver.neg nv.slot.(k);
+                        ]
+                    done
+                done
+              done)
             rest;
           pairs rest
       in
@@ -158,41 +156,35 @@ let build cgra g ~ii =
             for i = 1 to diameter - 1 do
               Solver.add_clause s [ Solver.neg dge.(i); Solver.pos dge.(i - 1) ]
             done;
-            Array.iteri
-              (fun ui a ->
-                Array.iteri
-                  (fun vi b ->
-                    let d = Cgra.manhattan cgra a b in
-                    if d >= 1 then
-                      Solver.add_clause s
-                        [
-                          Solver.neg uv.x.(ui);
-                          Solver.neg vv.x.(vi);
-                          Solver.pos dge.(d - 1);
-                        ])
-                  vv.dom)
-              uv.dom
-          end;
-          let emit ~d ~dge_lit =
-            Array.iteri
-              (fun i _ ->
-                let tu = uv.lo + i in
-                let bound = tu + 1 + d - slack in
-                if bound > vv.lo then begin
-                  let tail =
-                    if bound < horizon then
-                      [ Solver.pos vv.ge.(bound - vv.lo) ]
-                    else []
-                  in
+            for ui = 0 to Array.length uv.dom - 1 do
+              for vi = 0 to Array.length vv.dom - 1 do
+                let d = Cgra.manhattan cgra uv.dom.(ui) vv.dom.(vi) in
+                if d >= 1 then
                   Solver.add_clause s
-                    (dge_lit @ (Solver.neg uv.s.(i) :: tail))
-                end)
-              uv.s
-          in
-          emit ~d:0 ~dge_lit:[];
-          Array.iteri
-            (fun i v -> emit ~d:(i + 1) ~dge_lit:[ Solver.neg v ])
-            dge)
+                    [ Solver.neg uv.x.(ui); Solver.neg vv.x.(vi); Solver.pos dge.(d - 1) ]
+              done
+            done
+          end;
+          (* S(u, t) (and DGE(e, d) for d >= 1) forces GE(v, t + 1 + d
+             - slack), or is false outright when that is past the
+             horizon *)
+          for d = 0 to Array.length dge do
+            for i = 0 to Array.length uv.s - 1 do
+              let bound = uv.lo + i + 1 + d - slack in
+              if bound > vv.lo then begin
+                let su = Solver.neg uv.s.(i) in
+                if d = 0 then
+                  if bound < horizon then
+                    Solver.add_clause s [ su; Solver.pos vv.ge.(bound - vv.lo) ]
+                  else Solver.add_clause s [ su ]
+                else
+                  let far = Solver.neg dge.(d - 1) in
+                  if bound < horizon then
+                    Solver.add_clause s [ far; su; Solver.pos vv.ge.(bound - vv.lo) ]
+                  else Solver.add_clause s [ far; su ]
+              end
+            done
+          done)
         edges;
       Ok { solver = s; ii; horizon; order; vars }
     end
