@@ -1,17 +1,31 @@
+(* The largest DIMACS variable whose solver literals [2 * (v - 1)] and
+   [2 * (v - 1) + 1] fit in an int. *)
+let max_var = (max_int / 2) + 1
+
 let parse text =
   let s = Solver.create () in
   let nvars = ref 0 in
+  let declared = ref None in
   let ensure v =
     while Solver.var_count s < v do ignore (Solver.new_var s) done;
     if v > !nvars then nvars := v
   in
-  let lit_of i =
-    let v = abs i in
-    ensure v;
-    if i > 0 then Solver.pos (v - 1) else Solver.neg (v - 1)
-  in
   let error = ref None in
   let pending = ref [] in
+  let literal i =
+    let v = abs i in
+    (* [abs min_int] is negative *)
+    if v <= 0 || v > max_var then
+      error := Some (Printf.sprintf "literal %d out of range" i)
+    else
+      match !declared with
+      | Some d when v > d ->
+        error :=
+          Some (Printf.sprintf "literal %d exceeds the %d variables declared" i d)
+      | _ ->
+        ensure v;
+        pending := (if i > 0 then Solver.pos (v - 1) else Solver.neg (v - 1)) :: !pending
+  in
   let lines = String.split_on_char '\n' text in
   List.iter
     (fun line ->
@@ -22,7 +36,12 @@ let parse text =
           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
           | [ "p"; "cnf"; v; _c ] -> (
             match int_of_string_opt v with
-            | Some v when v >= 0 -> ensure v
+            | Some v when v >= !nvars && v <= max_var ->
+              ensure v;
+              declared := Some v
+            | Some v when v >= 0 && v < !nvars ->
+              error :=
+                Some (Printf.sprintf "header declares %d variables, clauses use %d" v !nvars)
             | _ -> error := Some (Printf.sprintf "bad header %S" line))
           | _ -> error := Some (Printf.sprintf "bad header %S" line)
         end
@@ -36,7 +55,7 @@ let parse text =
                    | Some 0 ->
                      Solver.add_clause s (List.rev !pending);
                      pending := []
-                   | Some i -> pending := lit_of i :: !pending))
+                   | Some i -> literal i))
     lines;
   match !error with
   | Some e -> Error e

@@ -190,6 +190,31 @@ let test_random_vs_bruteforce =
       done;
       got = if !satisfiable then Solver.Sat else Solver.Unsat)
 
+(* Hostile DIMACS text is an [Error], never an exception: literals
+   with no solver literal and variables past the header's count. *)
+let test_dimacs_rejects () =
+  let rejects what text =
+    match Dimacs.parse text with
+    | Error _ -> ()
+    | Ok (_, n) -> Alcotest.failf "%s accepted with %d variables" what n
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  rejects "min_int literal" (Printf.sprintf "%d 0" min_int);
+  rejects "min_int + 1 literal" (Printf.sprintf "%d 0" (min_int + 1));
+  rejects "max_int literal" (Printf.sprintf "%d 0" max_int);
+  rejects "variable past the header" "p cnf 2 1\n3 0\n";
+  rejects "negated variable past the header" "p cnf 2 1\n1 -3 0\n";
+  rejects "header below the variables used" "3 0\np cnf 2 1\n";
+  rejects "header past max_int / 2" (Printf.sprintf "p cnf %d 1\n" max_int);
+  (match Dimacs.parse "p cnf 3 1\n3 -1 0\n" with
+  | Ok (_, n) -> Alcotest.(check int) "declared count" 3 n
+  | Error e -> Alcotest.failf "in-range clause: %s" e);
+  match Dimacs.parse "1 -3 0\n" with
+  | Ok (s, n) ->
+    Alcotest.(check int) "headerless count" 3 n;
+    Alcotest.check outcome "headerless sat" Solver.Sat (Solver.solve s)
+  | Error e -> Alcotest.failf "headerless: %s" e
+
 let suite =
   [
     Alcotest.test_case "unit propagation" `Quick test_unit_propagation;
@@ -205,4 +230,5 @@ let suite =
     Alcotest.test_case "dimacs" `Quick test_dimacs;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     QCheck_alcotest.to_alcotest test_random_vs_bruteforce;
+    Alcotest.test_case "dimacs rejects hostile input" `Quick test_dimacs_rejects;
   ]
