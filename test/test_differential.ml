@@ -151,6 +151,18 @@ let sat_golden_path = "golden/sat_golden.txt"
 let test_sat_unchanged () =
   check_against_golden ~what:"sat" sat_golden_path (Iced_testgen.Sat_gen.golden_lines ())
 
+(* test/golden/post_golden.txt pins what the passes reading a finished
+   mapping report on every table1 op: island levels, Validate.check,
+   per-tile busy slots and utilization, the power model's inputs and
+   result, and Sim.run and Sim.interpret; plus Validate, Sim, the
+   metrics and Levels.assign on three seeded corruptions of each
+   mapping (see Iced_testgen.Post_gen).  Making those passes cheaper
+   must keep every line. *)
+let post_golden_path = "golden/post_golden.txt"
+
+let test_post_unchanged () =
+  check_against_golden ~what:"post-pass" post_golden_path (Iced_testgen.Post_gen.golden_lines ())
+
 let suite =
   [
     ("golden corpus has no FAIL cases", `Quick, test_corpus_has_no_failures);
@@ -160,4 +172,5 @@ let suite =
     ("certified minimal IIs match the fixture", `Slow, test_certified_ii_fixture);
     ("streaming runs unchanged vs golden", `Quick, test_stream_unchanged);
     ("sat solver unchanged vs golden", `Slow, test_sat_unchanged);
+    ("post-passes unchanged vs golden", `Slow, test_post_unchanged);
   ]
