@@ -59,10 +59,11 @@ let island_event_times mapping =
 
 (* The soundness check with everything that depends on the mapping
    alone taken out of it: [events] from {!island_event_times}, and each
-   recurrence cycle's event islands and distance, derived on first use.
+   recurrence cycle's event islands and distance, derived on first use
+   (from [recurrences] when given, else by enumerating the cycles).
    The returned function only looks levels up, so a caller trying many
    assignments of one mapping pays for the derivation once. *)
-let soundness mapping ~events =
+let soundness ?recurrences mapping ~events =
   let ii = mapping.Mapping.ii in
   let cgra = mapping.Mapping.cgra in
   let cycles =
@@ -71,7 +72,9 @@ let soundness mapping ~events =
          (fun (cycle : Analysis.cycle) ->
            ( List.map (Cgra.island_of cgra) (cycle_event_tiles mapping cycle),
              cycle.Analysis.distance ))
-         (Analysis.recurrence_cycles mapping.Mapping.dfg))
+         (match recurrences with
+         | Some r -> r.Analysis.cycles
+         | None -> Analysis.recurrence_cycles mapping.Mapping.dfg))
   in
   fun island_levels ->
     let level_of island =
@@ -102,13 +105,13 @@ let soundness mapping ~events =
     List.for_all island_ok (Cgra.islands cgra)
     && List.for_all cycle_ok (Lazy.force cycles)
 
-let legal mapping island_levels =
-  soundness mapping ~events:(island_event_times mapping) island_levels
+let legal ?recurrences mapping island_levels =
+  soundness ?recurrences mapping ~events:(island_event_times mapping) island_levels
 
-let assign ?(floor = Dvfs.Rest) ?(allow_gating = true) mapping =
+let assign ?(floor = Dvfs.Rest) ?(allow_gating = true) ?recurrences mapping =
   let cgra = mapping.Mapping.cgra in
   let events = island_event_times mapping in
-  let legal = soundness mapping ~events in
+  let legal = soundness ?recurrences mapping ~events in
   let busy island = List.length events.(island) in
   let initial =
     List.map

@@ -20,11 +20,19 @@
 
 open Iced_arch
 
-val legal : Mapping.t -> (int * Dvfs.level) list -> bool
+val legal :
+  ?recurrences:Iced_dfg.Analysis.recurrences -> Mapping.t -> (int * Dvfs.level) list -> bool
 (** Whether a complete per-island level assignment is sound for the
-    mapping (the conditions above). *)
+    mapping (the conditions above).  [recurrences] must be
+    [Analysis.recurrences] of the mapping's DFG; pass it to skip the
+    cycle enumeration. *)
 
-val assign : ?floor:Dvfs.level -> ?allow_gating:bool -> Mapping.t -> Mapping.t
+val assign :
+  ?floor:Dvfs.level ->
+  ?allow_gating:bool ->
+  ?recurrences:Iced_dfg.Analysis.recurrences ->
+  Mapping.t ->
+  Mapping.t
 (** Greedily lower each island to the slowest sound level, slower
     levels first, least-busy islands first.  [floor] (default [Rest])
     bounds how low an {e active} island may go; [allow_gating]
@@ -32,7 +40,8 @@ val assign : ?floor:Dvfs.level -> ?allow_gating:bool -> Mapping.t -> Mapping.t
     rather than kept at [floor] (streaming kernels keep their islands
     clocked).  The result's [island_levels] covers every island.  The
     mapping's per-island event times and per-cycle event islands are
-    derived once per call; each trial only looks levels up. *)
+    derived once per call; each trial only looks levels up.
+    [recurrences] is as for {!legal}. *)
 
 val all_normal : Mapping.t -> Mapping.t
 (** The no-DVFS baseline: every island at [Normal]. *)

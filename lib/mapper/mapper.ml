@@ -56,7 +56,7 @@ let per_ii_times = Telemetry.per_ii
 let stats_to_json = Telemetry.to_json
 let pp_stats = Telemetry.pp
 
-let map ?stats req dfg = Search.run ?stats req dfg
+let map ?stats ?recurrences req dfg = Search.run ?stats ?recurrences req dfg
 
 let map_exn ?stats req dfg =
   match map ?stats req dfg with

@@ -131,11 +131,19 @@ val stats_to_json : stats -> Iced_util.Json.value
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val map : ?stats:stats -> request -> Graph.t -> (Mapping.t, string) result
+val map :
+  ?stats:stats ->
+  ?recurrences:Analysis.recurrences ->
+  request ->
+  Graph.t ->
+  (Mapping.t, string) result
 (** Map a kernel.  The result carries Algorithm 1's labels and an
     all-[Normal] island assignment; apply {!Levels.assign} to lower the
     islands.  The result always passes {!Validate.check}.  When [stats]
-    is given, the run's telemetry is merged into it. *)
+    is given, the run's telemetry is merged into it.  [recurrences]
+    must be [Analysis.recurrences] of the DFG; a caller that also runs
+    {!Levels.assign} or {!Validate.check} on the result enumerates the
+    cycles once and passes them to all three. *)
 
 val map_exn : ?stats:stats -> request -> Graph.t -> Mapping.t
 (** @raise Failure when no mapping is found within [max_ii]. *)

@@ -39,15 +39,22 @@ val request : ?strategy:strategy -> ?backend:Backend.t -> ?tiles:int list ->
   ?dead_links:(int * Dir.t) list -> ?commit_islands:bool ->
   Cgra.t -> request
 
-val run : ?stats:Telemetry.t -> request -> Graph.t -> (Mapping.t, string) result
+val run :
+  ?stats:Telemetry.t ->
+  ?recurrences:Analysis.recurrences ->
+  request ->
+  Graph.t ->
+  (Mapping.t, string) result
 (** One full mapping search: II ladder from max(RecMII, ResMII) up to
     [max_ii], every congestion margin (and, for [Dvfs_aware], the
     conventional-fallback retry) per II.  A single routing scratch
     arena is reused across the entire search, and so is everything that
     depends on the DFG alone: its recurrence structure
     ({!Analysis.recurrences}), the schedule estimate's per-DFG part and
-    the placement order.  Telemetry is accumulated internally and
-    merged into [stats] when given. *)
+    the placement order.  [recurrences] must be
+    [Analysis.recurrences dfg]; a caller that already holds it passes
+    it to skip the enumeration.  Telemetry is accumulated internally
+    and merged into [stats] when given. *)
 
 val attempt : request -> Graph.t -> ii:int -> margin:int -> Engine.state * int list
 (** A fresh state for one attempt at [ii] and [margin] (from

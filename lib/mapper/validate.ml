@@ -1,24 +1,41 @@
 open Iced_arch
 open Iced_dfg
 
-let check mapping =
+(* Each key's first element of [l], as [List.assoc_opt] and
+   [List.find_opt] find it. *)
+let first_by key l =
+  let table = Hashtbl.create 64 in
+  List.iter (fun x -> if not (Hashtbl.mem table (key x)) then Hashtbl.add table (key x) x) l;
+  table
+
+let member l =
+  let table = Hashtbl.create 64 in
+  List.iter (fun x -> Hashtbl.replace table x ()) l;
+  Hashtbl.mem table
+
+let check ?recurrences mapping =
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt in
-  let { Mapping.dfg; cgra; ii; tiles; memory_tiles; placements; _ } = mapping in
+  let { Mapping.dfg; cgra; ii; tiles; memory_tiles; placements; routes; _ } = mapping in
   if ii <= 0 then fail "non-positive II %d" ii;
   (match Graph.validate dfg with
   | Ok () -> ()
   | Error msg -> fail "invalid DFG: %s" msg);
+  let placement =
+    let first = first_by fst placements in
+    fun id -> Option.map snd (Hashtbl.find_opt first id)
+  in
+  let allowed = member tiles and spm = member memory_tiles in
   (* Placement completeness and tile constraints *)
   List.iter
     (fun id ->
-      match List.assoc_opt id placements with
+      match placement id with
       | None -> fail "node n%d not placed" id
       | Some (tile, time) ->
-        if not (List.mem tile tiles) then fail "node n%d on disallowed tile %d" id tile;
+        if not (allowed tile) then fail "node n%d on disallowed tile %d" id tile;
         if time < 0 then fail "node n%d scheduled at negative time %d" id time;
         let op = (Graph.node dfg id).op in
-        if Op.needs_memory op && not (List.mem tile memory_tiles) then
+        if Op.needs_memory op && not (spm tile) then
           fail "memory op n%d on tile %d without SPM port" id tile)
     (Graph.node_ids dfg);
   let placed_ids = List.map fst placements in
@@ -32,12 +49,18 @@ let check mapping =
   | Ok _ -> ()
   | Error msg -> fail "resource conflict: %s" msg);
   (* Dependences and route integrity *)
+  let route_of_edge =
+    let first =
+      first_by (fun (r : Mapping.route) -> (r.edge.src, r.edge.dst, r.edge.distance)) routes
+    in
+    fun (e : Graph.edge) -> Hashtbl.find_opt first (e.src, e.dst, e.distance)
+  in
   let check_edge (e : Graph.edge) =
-    match (List.assoc_opt e.src placements, List.assoc_opt e.dst placements) with
+    match (placement e.src, placement e.dst) with
     | None, _ | _, None -> () (* reported above *)
     | Some (src_tile, src_time), Some (dst_tile, dst_time) -> (
       let deadline = dst_time + Mapping.edge_slack dfg ~ii e - 1 in
-      match Mapping.route_of_edge mapping e with
+      match route_of_edge e with
       | None ->
         if src_tile <> dst_tile then
           fail "edge n%d->n%d spans tiles %d->%d without a route" e.src e.dst src_tile dst_tile
@@ -82,7 +105,7 @@ let check mapping =
   in
   List.iter check_edge (Graph.edges dfg);
   (* DVFS soundness *)
-  if not (Levels.legal mapping mapping.Mapping.island_levels) then
+  if not (Levels.legal ?recurrences mapping mapping.Mapping.island_levels) then
     fail "island DVFS level assignment is not sound";
   match !problems with [] -> Ok () | msgs -> Error (List.rev msgs)
 

@@ -9,8 +9,12 @@
       producer-to-consumer timing with loop-carried slack);
     - the island DVFS assignment is sound per {!Levels.legal}. *)
 
-val check : Mapping.t -> (unit, string list) result
-(** [Ok ()] or the list of violations found. *)
+val check :
+  ?recurrences:Iced_dfg.Analysis.recurrences -> Mapping.t -> (unit, string list) result
+(** [Ok ()] or the list of violations found.  [recurrences] must be
+    [Analysis.recurrences] of the mapping's DFG; pass it to skip the
+    cycle enumeration of {!Levels.legal}.  Each node's first placement
+    and each edge's first route are indexed once per call. *)
 
 val check_exn : Mapping.t -> unit
 (** @raise Failure with the joined violations. *)

@@ -4,11 +4,45 @@ open Iced_mapper
 
 type tile_metrics = { tile : int; level : Dvfs.level; busy_slots : int; utilization : float }
 
+(* Distinct busy slots (time mod II, negative for negative times) of
+   every fabric tile, counted in one pass over placements and hops with
+   a seen-flag per (tile, slot); events off the fabric belong to no
+   tile [per_tile] can report.  At II 0 there are no slots: the
+   definition raises [Division_by_zero] on the first tile with an
+   event, as [Mapping.busy_slots_of_tile] does. *)
+let busy_slot_counts (m : Mapping.t) =
+  let ii = m.Mapping.ii in
+  if ii = 0 then fun tile -> List.length (Mapping.busy_slots_of_tile m tile)
+  else begin
+    let tiles = Cgra.tile_count m.Mapping.cgra and width = (2 * abs ii) - 1 in
+    let seen = Bytes.make (tiles * width) '\000' and counts = Array.make tiles 0 in
+    let mark tile time =
+      if tile >= 0 && tile < tiles then begin
+        let cell = (tile * width) + (time mod ii) + abs ii - 1 in
+        if Bytes.get seen cell = '\000' then begin
+          Bytes.set seen cell '\001';
+          counts.(tile) <- counts.(tile) + 1
+        end
+      end
+    in
+    List.iter (fun (_, (tile, time)) -> mark tile time) m.Mapping.placements;
+    List.iter
+      (fun (r : Mapping.route) -> List.iter (fun (h : Mapping.hop) -> mark h.tile h.time) r.hops)
+      m.Mapping.routes;
+    fun tile -> counts.(tile)
+  end
+
 let per_tile (m : Mapping.t) =
+  let busy_slots = busy_slot_counts m in
+  let island_levels =
+    Array.init (Cgra.island_count m.Mapping.cgra) (Mapping.level_of_island m)
+  in
   List.map
     (fun tile ->
-      let level = Mapping.level_of_tile m tile in
-      let busy = List.length (Mapping.busy_slots_of_tile m tile) in
+      (* [island_of] raises for a tile off the fabric, as
+         [Mapping.level_of_tile] does *)
+      let level = island_levels.(Cgra.island_of m.Mapping.cgra tile) in
+      let busy = busy_slots tile in
       let utilization =
         if not (Dvfs.is_active level) then 0.0
         else
