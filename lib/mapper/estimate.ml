@@ -53,6 +53,8 @@ let plan dfg ~(cycles : Analysis.cycle list) ~topo =
     topo;
   { topo; inputs; rank }
 
+let uses_margin plan = Array.exists (fun rank -> rank > 0) plan.rank
+
 let build plan ~ii ~margin =
   let est = Array.make (Array.length plan.rank) 0 in
   for _sweep = 1 to 3 do

@@ -24,6 +24,12 @@ val plan : Graph.t -> cycles:Analysis.cycle list -> topo:int list -> plan
 (** [cycles] are the DFG's recurrence cycles, [topo] an intra-iteration
     topological order of every node. *)
 
+val uses_margin : plan -> bool
+(** Whether {!build}'s result depends on its [margin]: only nodes of
+    cycle rank 1 (members of a recurrence cycle fed by another cycle)
+    receive it.  Without such a node every margin builds the same
+    estimate. *)
+
 val build : plan -> ii:int -> margin:int -> t
 (** Fixed-point sweep over the plan's topological order at [ii];
     [margin] is the congestion slack granted to dependent recurrence

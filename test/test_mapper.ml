@@ -764,6 +764,36 @@ let test_candidate_drain () =
         List.hd Cost.committed_margins );
     ]
 
+(* Search.run tries one congestion margin per II when the estimate
+   ignores it, so uses_margin must say exactly whether two margins of
+   the ladders can give different start times.  fft is the Table I
+   kernel without a dependent recurrence cycle. *)
+let test_estimate_uses_margin () =
+  let module Estimate = Iced_mapper.Estimate in
+  let module Cost = Iced_mapper.Cost in
+  List.iter
+    (fun (k : Iced_kernels.Kernel.t) ->
+      List.iter
+        (fun factor ->
+          let g = Iced_kernels.Kernel.dfg_at k ~factor in
+          let plan =
+            Estimate.plan g ~cycles:(Analysis.recurrence_cycles g)
+              ~topo:(Option.get (Graph.intra_topological g))
+          in
+          let starts margin =
+            let est = Estimate.build plan ~ii:4 ~margin in
+            List.map (Estimate.start est) (Graph.node_ids g)
+          in
+          let margins = Cost.asap_margins @ Cost.committed_margins in
+          let moved = List.exists (fun m -> starts m <> starts (List.hd margins)) margins in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s uf%d" k.name factor)
+            moved (Estimate.uses_margin plan);
+          if k.name = "fft" then
+            Alcotest.(check bool) (Printf.sprintf "fft uf%d ignores the margin" factor) false moved)
+        [ 1; 2 ])
+    Iced_kernels.Registry.all
+
 let suite =
   [
     ("labeling: critical nodes normal", `Quick, test_labeling_critical_normal);
@@ -813,4 +843,5 @@ let suite =
      test_labeling_recurrences_table1);
     QCheck_alcotest.to_alcotest prop_labeling_recurrences_random_loops;
     ("greedy: candidate drain and rollback", `Quick, test_candidate_drain);
+    ("estimate: uses_margin iff a margin moves a start", `Quick, test_estimate_uses_margin);
   ]
