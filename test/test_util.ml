@@ -201,6 +201,95 @@ let prop_heap_model =
         script;
       !log_h = !log_m && Heap.size h = List.length !model)
 
+(* The heap as it was before its sifts moved a hole: swapping sifts
+   with the same comparisons.  The hole version must leave every entry
+   where this one does, so both pop equal priorities in one order. *)
+module Swap_heap = struct
+  type t = { mutable prio : int array; mutable payload : int array; mutable size : int }
+
+  let create () = { prio = [||]; payload = [||]; size = 0 }
+  let clear h = h.size <- 0
+
+  let swap h i j =
+    let p = h.prio.(i) and v = h.payload.(i) in
+    h.prio.(i) <- h.prio.(j);
+    h.payload.(i) <- h.payload.(j);
+    h.prio.(j) <- p;
+    h.payload.(j) <- v
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if h.prio.(i) < h.prio.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let left = (2 * i) + 1 and right = (2 * i) + 2 in
+    let smallest = ref i in
+    if left < h.size && h.prio.(left) < h.prio.(!smallest) then smallest := left;
+    if right < h.size && h.prio.(right) < h.prio.(!smallest) then smallest := right;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let push h priority payload =
+    if h.size = Array.length h.prio then begin
+      let bigger a =
+        let b = Array.make (max 16 (2 * h.size)) 0 in
+        Array.blit a 0 b 0 h.size;
+        b
+      in
+      h.prio <- bigger h.prio;
+      h.payload <- bigger h.payload
+    end;
+    h.prio.(h.size) <- priority;
+    h.payload.(h.size) <- payload;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    let top = (h.prio.(0), h.payload.(0)) in
+    h.size <- h.size - 1;
+    if h.size > 0 then begin
+      h.prio.(0) <- h.prio.(h.size);
+      h.payload.(0) <- h.payload.(h.size);
+      sift_down h 0
+    end;
+    top
+end
+
+(* Random push/pop/clear scripts over few priorities, so most pops
+   choose among ties; payloads number the pushes. *)
+let prop_heap_matches_swap_heap =
+  QCheck.Test.make ~name:"heap pops like the swapping heap, ties included" ~count:500
+    QCheck.(list (pair (int_bound 9) (int_bound 3)))
+    (fun script ->
+      let h = Heap.create () and s = Swap_heap.create () in
+      let same = ref true in
+      List.iteri
+        (fun step (op, priority) ->
+          if op < 6 then begin
+            Heap.push h priority step;
+            Swap_heap.push s priority step
+          end
+          else if op < 9 then begin
+            if Heap.size h <> s.Swap_heap.size then same := false
+            else if s.Swap_heap.size > 0 && heap_pop h <> Swap_heap.pop s then same := false
+          end
+          else begin
+            Heap.clear h;
+            Swap_heap.clear s
+          end)
+        script;
+      while !same && s.Swap_heap.size > 0 do
+        if heap_pop h <> Swap_heap.pop s then same := false
+      done;
+      !same && Heap.is_empty h)
+
 (* ---------------- Fnv ---------------- *)
 
 (* Digest pinning: these exact values are what makes persisted explore
@@ -450,4 +539,5 @@ let suite =
     ("json control bytes escaped", `Quick, test_json_control_bytes);
     (* appended so the earlier cases keep their alcotest indices *)
     ("heap tie order", `Quick, test_heap_tie_order);
+    QCheck_alcotest.to_alcotest prop_heap_matches_swap_heap;
   ]
