@@ -1,6 +1,8 @@
-(* The largest DIMACS variable whose solver literals [2 * (v - 1)] and
-   [2 * (v - 1) + 1] fit in an int. *)
-let max_var = (max_int / 2) + 1
+(* [parse] creates every variable up to the largest one named, so a
+   few bytes could otherwise ask for billions of them.  2^20 is 22 times
+   the 47,861 variables of the largest exact-oracle encoding (dtw at
+   II 4 on 6x6). *)
+let max_vars = 1 lsl 20
 
 let parse text =
   let s = Solver.create () in
@@ -15,8 +17,8 @@ let parse text =
   let literal i =
     let v = abs i in
     (* [abs min_int] is negative *)
-    if v <= 0 || v > max_var then
-      error := Some (Printf.sprintf "literal %d out of range" i)
+    if v <= 0 || v > max_vars then
+      error := Some (Printf.sprintf "literal %d out of range 1..%d" i max_vars)
     else
       match !declared with
       | Some d when v > d ->
@@ -36,10 +38,13 @@ let parse text =
           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
           | [ "p"; "cnf"; v; _c ] -> (
             match int_of_string_opt v with
-            | Some v when v >= !nvars && v <= max_var ->
+            | Some v when v > max_vars ->
+              error :=
+                Some (Printf.sprintf "header declares %d variables, above %d" v max_vars)
+            | Some v when v >= !nvars ->
               ensure v;
               declared := Some v
-            | Some v when v >= 0 && v < !nvars ->
+            | Some v when v >= 0 ->
               error :=
                 Some (Printf.sprintf "header declares %d variables, clauses use %d" v !nvars)
             | _ -> error := Some (Printf.sprintf "bad header %S" line))
