@@ -15,11 +15,26 @@
 open Iced_arch
 open Iced_mapper
 
-type candidate = {
+type candidate = private {
   islands : int;  (** island count this mapping was built for *)
   mapping : Mapping.t;  (** the mapping achieved at that count *)
+  tile_activity : float list;
+      (** each tile's base activity, its distinct busy slots / II, in
+          [mapping.tiles] order *)
+  sram_activity : float;  (** {!Iced_sim.Metrics.sram_activity} of [mapping] *)
 }
-(** One pre-compiled (island count, mapping) option for an instance. *)
+(** One pre-compiled (island count, mapping) option for an instance,
+    priced once.  A mapping only changes on recovery, so the runner
+    reads the two activities here for every input, scaled by the
+    kernel's duty cycle, instead of re-deriving them from the mapping.
+    The record is private: {!candidate} is its one constructor, which
+    keeps the activities in step with the mapping. *)
+
+val candidate : islands:int -> Mapping.t -> candidate
+(** The candidate of [mapping] built for [islands] islands, with its
+    tile and SRAM activities computed from the mapping (the
+    [busy_slots] of {!Iced_sim.Metrics.per_tile} over the II, and
+    {!Iced_sim.Metrics.sram_activity}). *)
 
 type prepared_instance = {
   instance : Pipeline.instance;
