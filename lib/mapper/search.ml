@@ -60,6 +60,7 @@ let place_and_route (state : Engine.state) order =
    attempt. *)
 type context = {
   recurrences : Analysis.recurrences;
+  labeling : Labeling.plan Lazy.t;  (* forced by the first DVFS-aware attempt *)
   estimate : Estimate.plan;  (* holds the intra-iteration topological order *)
   cycle_mates : int list array;
       (* node -> members of the longest recurrence cycle through it *)
@@ -139,6 +140,7 @@ let context ?recurrences dfg =
     recurrences.Analysis.cycles;
   {
     recurrences;
+    labeling = lazy (Labeling.plan ~recurrences dfg);
     estimate = Estimate.plan dfg ~cycles:recurrences.Analysis.cycles ~topo;
     cycle_mates;
     order = placement_order dfg recurrences topo;
@@ -151,8 +153,8 @@ let attempt_state ~scratch ~candidates ~stats ~ctx req dfg ~tiles ~memory_tiles 
     match req.strategy with
     | Conventional -> List.map (fun id -> (id, Dvfs.Normal)) (Graph.node_ids dfg)
     | Dvfs_aware ->
-      Labeling.label ~floor:req.label_floor ~guard:req.label_guard
-        ~recurrences:ctx.recurrences dfg ~cgra:req.cgra ~tiles ~ii
+      Labeling.apply ~floor:req.label_floor ~guard:req.label_guard
+        (Lazy.force ctx.labeling) ~cgra:req.cgra ~tiles ~ii
   in
   let committed =
     if not req.commit_islands then None
