@@ -38,6 +38,8 @@ val nodes : t -> node list
 (** In increasing id order. *)
 
 val edges : t -> edge list
+(** Every edge, grouped by source in increasing id order, each source's
+    edges in insertion order.  Linear in the edge count. *)
 
 val node : t -> int -> node
 (** @raise Not_found on unknown id. *)
