@@ -44,10 +44,37 @@ let check ?recurrences mapping =
   List.iter
     (fun id -> if not (Graph.mem_node dfg id) then fail "placement of unknown node n%d" id)
     placed_ids;
+  (* Events no modulo slot or island can hold: a negative time has no
+     slot, a tile off the fabric no island.  The loop above reports the
+     nodes' (an off-fabric tile is never an allowed one); hops are
+     reported here.  The MRRG needs a slot for every event and the
+     level check an island, so each is skipped when they exist. *)
+  let on_fabric tile = tile >= 0 && tile < Cgra.tile_count cgra in
+  let unslotted = ref (ii <= 0) and off_fabric = ref false in
+  List.iter
+    (fun (_, (tile, time)) ->
+      if time < 0 then unslotted := true;
+      if not (on_fabric tile) then off_fabric := true)
+    placements;
+  List.iter
+    (fun (r : Mapping.route) ->
+      List.iter
+        (fun (h : Mapping.hop) ->
+          if h.time < 0 then begin
+            unslotted := true;
+            fail "edge n%d->n%d: hop at negative time %d" r.edge.src r.edge.dst h.time
+          end;
+          if not (on_fabric h.tile) then begin
+            off_fabric := true;
+            fail "edge n%d->n%d: hop on tile %d off the fabric" r.edge.src r.edge.dst h.tile
+          end)
+        r.hops)
+    routes;
   (* Resource conflicts *)
-  (match Mapping.to_mrrg mapping with
-  | Ok _ -> ()
-  | Error msg -> fail "resource conflict: %s" msg);
+  if not !unslotted then (
+    match Mapping.to_mrrg mapping with
+    | Ok _ -> ()
+    | Error msg -> fail "resource conflict: %s" msg);
   (* Dependences and route integrity *)
   let route_of_edge =
     let first =
@@ -95,18 +122,23 @@ let check ?recurrences mapping =
                 fail "edge n%d->n%d: hop from tile %d but value at tile %d" e.src e.dst h.tile
                   tile;
               if h.time <= time then fail "edge n%d->n%d: non-increasing hop times" e.src e.dst;
-              (match Cgra.neighbor cgra h.tile h.dir with
-              | None -> fail "edge n%d->n%d: hop off the fabric edge" e.src e.dst
-              | Some next -> walk next h.time rest)
+              (* a hop on a tile off the fabric is reported above *)
+              if on_fabric h.tile then
+                match Cgra.neighbor cgra h.tile h.dir with
+                | None -> fail "edge n%d->n%d: hop off the fabric edge" e.src e.dst
+                | Some next -> walk next h.time rest
           in
-          (match Cgra.neighbor cgra first.tile first.dir with
-          | None -> fail "edge n%d->n%d: first hop off the fabric" e.src e.dst
-          | Some next -> walk next first.time rest)))
+          if on_fabric first.tile then
+            match Cgra.neighbor cgra first.tile first.dir with
+            | None -> fail "edge n%d->n%d: first hop off the fabric" e.src e.dst
+            | Some next -> walk next first.time rest))
   in
   List.iter check_edge (Graph.edges dfg);
   (* DVFS soundness *)
-  if not (Levels.legal ?recurrences mapping mapping.Mapping.island_levels) then
-    fail "island DVFS level assignment is not sound";
+  if
+    (not (!unslotted || !off_fabric))
+    && not (Levels.legal ?recurrences mapping mapping.Mapping.island_levels)
+  then fail "island DVFS level assignment is not sound";
   match !problems with [] -> Ok () | msgs -> Error (List.rev msgs)
 
 let check_exn mapping =

@@ -11,10 +11,18 @@
 
 val check :
   ?recurrences:Iced_dfg.Analysis.recurrences -> Mapping.t -> (unit, string list) result
-(** [Ok ()] or the list of violations found.  [recurrences] must be
-    [Analysis.recurrences] of the mapping's DFG; pass it to skip the
-    cycle enumeration of {!Levels.legal}.  Each node's first placement
-    and each edge's first route are indexed once per call. *)
+(** [Ok ()] or the list of violations found; never raises on a
+    malformed mapping.  A placement or hop at a negative time has no
+    modulo slot and one on a tile off the fabric no island: both are
+    reported by the first passes (a node's as a negative time or a
+    disallowed tile, a hop's as such), and then the resource check
+    ({!Mapping.to_mrrg}, which needs a slot for every event) is skipped
+    when a time is negative or the II is not positive, and
+    {!Levels.legal} (which needs an island for every event) whenever
+    either exists.  [recurrences] must be [Analysis.recurrences] of the
+    mapping's DFG; pass it to skip the cycle enumeration of
+    {!Levels.legal}.  Each node's first placement and each edge's first
+    route are indexed once per call. *)
 
 val check_exn : Mapping.t -> unit
 (** @raise Failure with the joined violations. *)
