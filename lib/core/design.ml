@@ -39,11 +39,11 @@ let model_design = function
   | Per_tile -> Model.Per_tile_dvfs
   | Iced -> Model.Iced
 
-let assign_levels ~recurrences point mapping =
+let assign_levels point mapping =
   match point with
   | Baseline -> Levels.all_normal mapping
   | Baseline_gated -> Levels.normal_with_gating mapping
-  | Per_tile | Iced -> Levels.assign ~recurrences mapping
+  | Per_tile | Iced -> Levels.assign mapping
 
 module Trace = Iced_obs.Trace
 
@@ -55,14 +55,11 @@ let evaluate_body ~cgra ~params ~unroll ~label_floor ~max_ii ~cancel ~backend ?s
     Mapper.request ~strategy:(strategy_of point) ~backend ~label_floor ~max_ii ~cancel
       fabric
   in
-  (* one cycle enumeration for the mapper, level assignment and
-     validation *)
-  let recurrences = Iced_dfg.Analysis.recurrences dfg in
-  match Mapper.map ?stats ~recurrences req dfg with
+  match Mapper.map ?stats req dfg with
   | Error msg -> Error (Printf.sprintf "%s/%s: %s" kernel.name (point_to_string point) msg)
   | Ok mapping ->
-    let mapping = assign_levels ~recurrences point mapping in
-    (match Validate.check ~recurrences mapping with
+    let mapping = assign_levels point mapping in
+    (match Validate.check mapping with
     | Error msgs ->
       Error
         (Printf.sprintf "%s/%s: invalid mapping: %s" kernel.name (point_to_string point)

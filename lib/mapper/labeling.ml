@@ -15,10 +15,8 @@ type plan = {
   grey : int array;  (* the other nodes, most slack first, ties by id *)
 }
 
-let plan ?recurrences g =
-  let { Analysis.critical; secondary; _ } =
-    match recurrences with Some r -> r | None -> Analysis.recurrences g
-  in
+let plan g =
+  let { Analysis.critical; secondary; _ } = Analysis.recurrences g in
   let ids = Graph.node_ids g in
   let size = 1 + List.fold_left max (-1) ids in
   (* 0: grey, 1: critical, 2: secondary *)
@@ -108,7 +106,7 @@ let apply ?(floor = Dvfs.Rest) ?(guard = 0) plan ~cgra ~tiles ~ii =
     plan.grey;
   List.map (fun id -> (id, labels.(id))) plan.ids
 
-let label ?floor ?(guard = 0) ?recurrences g ~cgra ~tiles ~ii =
+let label ?floor ?(guard = 0) g ~cgra ~tiles ~ii =
   (* bad arguments are rejected before the plan enumerates anything *)
   check ~tiles ~ii ~guard;
-  apply ?floor ~guard (plan ?recurrences g) ~cgra ~tiles ~ii
+  apply ?floor ~guard (plan g) ~cgra ~tiles ~ii

@@ -13,7 +13,7 @@ let member l =
   List.iter (fun x -> Hashtbl.replace table x ()) l;
   Hashtbl.mem table
 
-let check ?recurrences mapping =
+let check mapping =
   let problems = ref [] in
   let fail fmt = Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt in
   let { Mapping.dfg; cgra; ii; tiles; memory_tiles; placements; routes; _ } = mapping in
@@ -137,7 +137,7 @@ let check ?recurrences mapping =
   (* DVFS soundness *)
   if
     (not (!unslotted || !off_fabric))
-    && not (Levels.legal ?recurrences mapping mapping.Mapping.island_levels)
+    && not (Levels.legal mapping mapping.Mapping.island_levels)
   then fail "island DVFS level assignment is not sound";
   match !problems with [] -> Ok () | msgs -> Error (List.rev msgs)
 

@@ -53,9 +53,8 @@ let allocated t label =
 (* Map a kernel confined to the first [count] islands (representative
    geometry: islands are homogeneous up to the SPM column, and the
    mapper treats the partition's westmost column as its SPM access
-   point), then assign its island levels.  [recurrences] is
-   [Analysis.recurrences] of the kernel's DFG. *)
-let map_on_islands cgra kernel ~recurrences ~count =
+   point), then assign its island levels. *)
+let map_on_islands cgra kernel ~count =
   let tiles =
     List.concat_map (fun island -> Cgra.island_tiles cgra island)
       (List.init count (fun i -> i))
@@ -63,8 +62,8 @@ let map_on_islands cgra kernel ~recurrences ~count =
   let req =
     Mapper.request ~strategy:Mapper.Dvfs_aware ~tiles ~label_floor:Dvfs.Relax cgra
   in
-  Mapper.map ~recurrences req (kernel : Iced_kernels.Kernel.t).dfg
-  |> Result.map (Levels.assign ~recurrences ~floor:Dvfs.Relax ~allow_gating:false)
+  Mapper.map req (kernel : Iced_kernels.Kernel.t).dfg
+  |> Result.map (Levels.assign ~floor:Dvfs.Relax ~allow_gating:false)
 
 (* All compositions of [total] into [parts] positive summands. *)
 let rec compositions total parts =
@@ -84,25 +83,15 @@ let prepare ?(max_islands_per_kernel = 6) cgra pipeline ~profile =
       (Printf.sprintf "pipeline has %d kernels but the fabric only %d islands"
          (List.length instances) island_count)
   else begin
-    (* Share mappings, and each kernel's recurrence cycles, across
-       instances of the same kernel. *)
+    (* Share mappings across instances of the same kernel. *)
     let cache : (string * int, candidate option) Hashtbl.t = Hashtbl.create 32 in
-    let cycles : (string, Iced_dfg.Analysis.recurrences) Hashtbl.t = Hashtbl.create 8 in
-    let recurrences (kernel : Iced_kernels.Kernel.t) =
-      match Hashtbl.find_opt cycles kernel.name with
-      | Some r -> r
-      | None ->
-        let r = Iced_dfg.Analysis.recurrences kernel.dfg in
-        Hashtbl.replace cycles kernel.name r;
-        r
-    in
     let compiled kernel count =
       let key = ((kernel : Iced_kernels.Kernel.t).name, count) in
       match Hashtbl.find_opt cache key with
       | Some c -> c
       | None ->
         let c =
-          match map_on_islands cgra kernel ~recurrences:(recurrences kernel) ~count with
+          match map_on_islands cgra kernel ~count with
           | Ok mapping -> Some (candidate ~islands:count mapping)
           | Error _ -> None
         in
