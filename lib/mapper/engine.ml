@@ -3,18 +3,9 @@ open Iced_dfg
 module Heap = Iced_util.Heap
 module Mrrg = Iced_mrrg.Mrrg
 
-type strategy = Cost.strategy = Conventional | Dvfs_aware
-
-type knobs = Cost.knobs = {
-  island_affinity : bool;
-  packing : bool;
-  phase_alignment : bool;
-  conventional_fallback : bool;
-}
-
 type request = {
   cgra : Cgra.t;
-  strategy : strategy;
+  strategy : Cost.strategy;
   backend : Backend.t;
       (* which placer/router pair the search orchestrates; the default
          greedy+Dijkstra pair is pinned by the golden corpus *)
@@ -25,7 +16,7 @@ type request = {
       (* fault guard band: raises Algorithm 1's floor this many levels
          so upset-prone islands keep voltage margin *)
   max_ii : int;
-  knobs : knobs;
+  knobs : Cost.knobs;
   cancel : unit -> bool;
   dead_tiles : int list;
       (* permanently faulted tiles, removed from the sub-fabric before
@@ -44,7 +35,7 @@ type request = {
          larger than 2x2. *)
 }
 
-let request ?(strategy = Dvfs_aware) ?(backend = Backend.default) ?tiles ?memory_tiles
+let request ?(strategy = Cost.Dvfs_aware) ?(backend = Backend.default) ?tiles ?memory_tiles
     ?(label_floor = Dvfs.Rest) ?(label_guard = 0) ?(max_ii = 64)
     ?(knobs = Cost.all_knobs) ?(cancel = fun () -> false) ?(dead_tiles = [])
     ?(dead_links = []) ?(commit_islands = false) cgra =
@@ -141,8 +132,8 @@ let edge_slack state e = Mapping.edge_slack state.dfg ~ii:state.ii e
 
 let label_of state node =
   match state.req.strategy with
-  | Conventional -> Dvfs.Normal
-  | Dvfs_aware -> state.labels.(node)
+  | Cost.Conventional -> Dvfs.Normal
+  | Cost.Dvfs_aware -> state.labels.(node)
 
 let busy_count state tile = Mrrg.busy_slot_count state.mrrg ~tile
 
@@ -184,9 +175,9 @@ let island_phase state island m = Mrrg.island_phase state.mrrg ~island ~modulo:m
    meaningful when the multiplier divides the II. *)
 let phase_penalty state ~weight tile time =
   match state.req.strategy with
-  | Conventional -> 0
-  | Dvfs_aware when not state.req.knobs.phase_alignment -> 0
-  | Dvfs_aware -> (
+  | Cost.Conventional -> 0
+  | Cost.Dvfs_aware when not state.req.knobs.Cost.phase_alignment -> 0
+  | Cost.Dvfs_aware -> (
     let island = Cgra.island_of state.req.cgra tile in
     match tentative_level state island with
     | None | Some Dvfs.Normal | Some Dvfs.Power_gated -> 0
@@ -202,8 +193,8 @@ let phase_penalty state ~weight tile time =
    power-gated) and respect slowed islands' phases. *)
 let route_extra_cost state ~tile ~time =
   match state.req.strategy with
-  | Conventional -> 0
-  | Dvfs_aware -> (
+  | Cost.Conventional -> 0
+  | Cost.Dvfs_aware -> (
     let island = Cgra.island_of state.req.cgra tile in
     match tentative_level state island with
     | None -> cost_route_open_island
@@ -310,7 +301,7 @@ let tile_terms state ~label ~on_cycle ~unplaced tile =
   let capacity_penalty = if on_cycle && busy + unplaced > state.ii then 400 else 0 in
   let strategy_cost =
     match state.req.strategy with
-    | Conventional ->
+    | Cost.Conventional ->
       (* The conventional mapper balances load across the fabric (the
          paper: it "might assign two dependent DFG nodes onto two tiles
          that are far away from each other as long as the II is not
@@ -318,14 +309,15 @@ let tile_terms state ~label ~on_cycle ~unplaced tile =
          packed to close their cycles.  The scattering is what leaves
          per-tile DVFS so little to power-gate. *)
       (if on_cycle then cost_pack else cost_spread) * busy
-    | Dvfs_aware -> (
+    | Cost.Dvfs_aware -> (
       (* Packing and phase alignment only matter for nodes that might
          run slowed; biasing critical (normal-labeled) nodes with them
          costs II for no DVFS benefit. *)
       let bias =
-        if label = Dvfs.Normal || not state.req.knobs.packing then 0 else -cost_pack * busy
+        if label = Dvfs.Normal || not state.req.knobs.Cost.packing then 0
+        else -cost_pack * busy
       in
-      if not state.req.knobs.island_affinity then bias
+      if not state.req.knobs.Cost.island_affinity then bias
       else
         match tentative_level state (Cgra.island_of state.req.cgra tile) with
         | None -> cost_open_island + bias
@@ -364,8 +356,8 @@ let collect_candidates state node tiles =
   (* like packing, phase alignment biases only nodes that might run slowed *)
   c.phased <-
     (match state.req.strategy with
-    | Conventional -> false
-    | Dvfs_aware -> label <> Dvfs.Normal);
+    | Cost.Conventional -> false
+    | Cost.Dvfs_aware -> label <> Dvfs.Normal);
   Heap.clear c.heap;
   List.iter
     (fun tile ->
@@ -489,8 +481,8 @@ let release_fu state tile time =
 let rebuild_island_levels state =
   Array.fill state.island_level 0 (Array.length state.island_level) None;
   match state.req.strategy with
-  | Conventional -> ()
-  | Dvfs_aware ->
+  | Cost.Conventional -> ()
+  | Cost.Dvfs_aware ->
     List.iter
       (fun node ->
         if is_placed state node then

@@ -12,25 +12,16 @@ open Iced_arch
 open Iced_dfg
 module Mrrg = Iced_mrrg.Mrrg
 
-type strategy = Cost.strategy = Conventional | Dvfs_aware
-
-type knobs = Cost.knobs = {
-  island_affinity : bool;
-  packing : bool;
-  phase_alignment : bool;
-  conventional_fallback : bool;
-}
-
 type request = {
   cgra : Cgra.t;
-  strategy : strategy;
+  strategy : Cost.strategy;
   backend : Backend.t;
   tiles : int list option;
   memory_tiles : int list option;
   label_floor : Dvfs.level;
   label_guard : int;
   max_ii : int;
-  knobs : knobs;
+  knobs : Cost.knobs;
   cancel : unit -> bool;
   dead_tiles : int list;
   dead_links : (int * Dir.t) list;
@@ -38,9 +29,9 @@ type request = {
 }
 (** See {!Mapper.request} for field documentation. *)
 
-val request : ?strategy:strategy -> ?backend:Backend.t -> ?tiles:int list ->
+val request : ?strategy:Cost.strategy -> ?backend:Backend.t -> ?tiles:int list ->
   ?memory_tiles:int list -> ?label_floor:Dvfs.level -> ?label_guard:int ->
-  ?max_ii:int -> ?knobs:knobs -> ?cancel:(unit -> bool) -> ?dead_tiles:int list ->
+  ?max_ii:int -> ?knobs:Cost.knobs -> ?cancel:(unit -> bool) -> ?dead_tiles:int list ->
   ?dead_links:(int * Dir.t) list -> ?commit_islands:bool ->
   Cgra.t -> request
 

@@ -39,8 +39,8 @@ let place_node_untraced ~route ~memory_tiles state node =
   in
   let note_island tile =
     match state.req.strategy with
-    | Conventional -> ()
-    | Dvfs_aware -> note_island state (Cgra.island_of cgra tile) (label_of state node)
+    | Cost.Conventional -> ()
+    | Cost.Dvfs_aware -> note_island state (Cgra.island_of cgra tile) (label_of state node)
   in
   let try_tiles eligible_tiles =
     collect_candidates state node eligible_tiles;
