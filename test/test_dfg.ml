@@ -321,6 +321,129 @@ let test_edges_order () =
       Alcotest.(check bool) (name ^ " edge order") true (Graph.edges g = appended_edges g))
     (table1_graphs () @ synthetic)
 
+(* ---------------- The per-domain analysis entry ---------------- *)
+
+let synthetic_graphs () =
+  List.concat_map
+    (fun name ->
+      let k = Option.get (Iced_kernels.Registry.by_name name) in
+      List.map
+        (fun factor ->
+          (Printf.sprintf "%s uf%d" name factor, Iced_kernels.Kernel.dfg_at k ~factor))
+        [ 1; 2 ])
+    [ "rand40x1"; "rand60x2" ]
+
+(* Every analysis of one graph, read back to back. *)
+let analyses g =
+  ( Analysis.recurrence_cycles g,
+    Analysis.recurrences g,
+    Analysis.min_ii g ~tiles:4,
+    Analysis.asap g,
+    Analysis.alap g,
+    Analysis.depth g )
+
+let test_entry_shared () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) (name ^ " recurrences shared") true
+        (Analysis.recurrences g == Analysis.recurrences g))
+    (table1_graphs ())
+
+(* Each analysis read for every graph in turn, so every call finds
+   another graph's entry, gives what reading one graph's analyses back
+   to back gives. *)
+let test_entry_interleaved () =
+  let graphs = List.map snd (table1_graphs ()) in
+  let each f = List.map f graphs in
+  let cycles = each Analysis.recurrence_cycles in
+  let recurrences = each Analysis.recurrences in
+  let min_ii = each (Analysis.min_ii ~tiles:4) in
+  let asap = each Analysis.asap in
+  let alap = each Analysis.alap in
+  let depth = each Analysis.depth in
+  List.iteri
+    (fun i g ->
+      Alcotest.(check bool) (Printf.sprintf "graph %d" i) true
+        (analyses g
+        = ( List.nth cycles i,
+            List.nth recurrences i,
+            List.nth min_ii i,
+            List.nth asap i,
+            List.nth alap i,
+            List.nth depth i )))
+    graphs
+
+(* Two domains analysing the Table I graphs in opposite orders, each
+   through its own entry, get the serial results. *)
+let test_entry_domains () =
+  let graphs = List.map snd (table1_graphs ()) in
+  let serial = List.map analyses graphs in
+  let spawn order = Domain.spawn (fun () -> List.map analyses order) in
+  let forward = spawn graphs and backward = spawn (List.rev graphs) in
+  Alcotest.(check bool) "forward" true (Domain.join forward = serial);
+  Alcotest.(check bool) "backward" true (List.rev (Domain.join backward) = serial)
+
+(* The Hashtbl definitions of ASAP, ALAP and depth that the entry's
+   arrays replaced, kept as their reference. *)
+let reference_asap g =
+  match Graph.intra_topological g with
+  | None -> invalid_arg "Analysis.asap: cyclic intra subgraph"
+  | Some order ->
+    let level = Hashtbl.create 64 in
+    List.iter
+      (fun id ->
+        let preds = Graph.intra_predecessors g id in
+        let lvl =
+          List.fold_left (fun acc p -> max acc (Hashtbl.find level p + 1)) 0 preds
+        in
+        Hashtbl.replace level id lvl)
+      order;
+    List.map (fun id -> (id, Hashtbl.find level id)) (Graph.node_ids g)
+
+let reference_depth g =
+  match reference_asap g with
+  | [] -> 0
+  | levels -> 1 + List.fold_left (fun acc (_, l) -> max acc l) 0 levels
+
+let reference_alap g =
+  match Graph.intra_topological g with
+  | None -> invalid_arg "Analysis.alap: cyclic intra subgraph"
+  | Some order ->
+    let max_level = reference_depth g - 1 in
+    let level = Hashtbl.create 64 in
+    List.iter
+      (fun id ->
+        let succs = Graph.intra_successors g id in
+        let lvl =
+          List.fold_left (fun acc s -> min acc (Hashtbl.find level s - 1)) max_level succs
+        in
+        Hashtbl.replace level id lvl)
+      (List.rev order);
+    List.map (fun id -> (id, Hashtbl.find level id)) (Graph.node_ids g)
+
+let test_levels_reference () =
+  List.iter
+    (fun (name, g) ->
+      let levels = Alcotest.(list (pair int int)) in
+      Alcotest.check levels (name ^ " asap") (reference_asap g) (Analysis.asap g);
+      Alcotest.check levels (name ^ " alap") (reference_alap g) (Analysis.alap g);
+      Alcotest.(check int) (name ^ " depth") (reference_depth g) (Analysis.depth g))
+    ((("empty", Graph.empty) :: table1_graphs ()) @ synthetic_graphs ())
+
+(* Each reader keeps its own message, on a cold entry and a warm one. *)
+let test_levels_cyclic () =
+  let g = Graph.empty in
+  let g, a = Graph.add_node g Op.Add in
+  let g, b = Graph.add_node g Op.Add in
+  let g = Graph.add_edge (Graph.add_edge g a b) b a in
+  let asap_error = Invalid_argument "Analysis.asap: cyclic intra subgraph" in
+  let alap_error = Invalid_argument "Analysis.alap: cyclic intra subgraph" in
+  Alcotest.check_raises "asap" asap_error (fun () -> ignore (Analysis.asap g));
+  Alcotest.check_raises "alap" alap_error (fun () -> ignore (Analysis.alap g));
+  Alcotest.check_raises "depth" asap_error (fun () -> ignore (Analysis.depth g));
+  ignore (Analysis.recurrences Graph.empty);
+  Alcotest.check_raises "alap, cold" alap_error (fun () -> ignore (Analysis.alap g))
+
 let suite =
   [
     ("graph basics", `Quick, test_graph_basics);
@@ -349,4 +472,10 @@ let suite =
     ("recurrences of Table I kernels, uf1 and uf2", `Quick, test_recurrences_table1);
     QCheck_alcotest.to_alcotest prop_recurrences_random_loops;
     ("edges in source order, Table I and synthetic graphs", `Quick, test_edges_order);
+    ("analysis entry: recurrences shared while warm", `Quick, test_entry_shared);
+    ("analysis entry: interleaved graphs", `Quick, test_entry_interleaved);
+    ("analysis entry: two domains, opposite orders", `Quick, test_entry_domains);
+    ("analysis entry: asap/alap/depth as the Hashtbl reference", `Quick,
+     test_levels_reference);
+    ("analysis entry: cyclic intra subgraph, per-reader errors", `Quick, test_levels_cyclic);
   ]
