@@ -23,4 +23,5 @@ let () =
       ("serve", Test_serve.suite);
       ("tenancy", Test_tenancy.suite);
       ("wire", Test_wire.suite);
+      ("apps", Test_apps.suite);
     ]
