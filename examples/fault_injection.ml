@@ -16,20 +16,14 @@
 
    Run with:  dune exec examples/fault_injection.exe *)
 
-module W = Iced_stream.Workload
-module P = Iced_stream.Pipeline
+module App = Iced_stream.App
 module Part = Iced_stream.Partition
 module R = Iced_stream.Runner
 module F = Iced_fault.Fault
 
 let () =
-  let cgra = Iced_arch.Cgra.iced_6x6 in
-  let inputs = List.map P.of_lu_matrix (W.ufl_matrices ~seed:7 ()) in
-  let profile =
-    let step = max 1 (List.length inputs / 50) in
-    List.filteri (fun i _ -> i mod step = 0) inputs
-  in
-  match Part.prepare cgra (P.lu ()) ~profile with
+  let inputs = App.inputs App.Lu in
+  match App.partition App.Lu inputs with
   | Error msg -> prerr_endline ("partitioning failed: " ^ msg)
   | Ok partition ->
     let baseline = R.aggregate (R.run partition R.Iced_dvfs inputs) in

@@ -9,30 +9,26 @@
 
    Run with:  dune exec examples/lu_pipeline.exe *)
 
-module W = Iced_stream.Workload
+module App = Iced_stream.App
 module P = Iced_stream.Pipeline
 module Part = Iced_stream.Partition
 module R = Iced_stream.Runner
 
 let () =
-  let cgra = Iced_arch.Cgra.iced_6x6 in
-  let matrices = W.ufl_matrices ~seed:7 () in
+  let inputs = App.inputs App.Lu in
   let densities =
     List.map
-      (fun (m : W.lu_matrix) -> float_of_int m.nnz /. float_of_int (m.dim * m.dim))
-      matrices
+      (fun i ->
+        let dim = P.feature i "dim" in
+        float_of_int (P.feature i "nnz") /. float_of_int (dim * dim))
+      inputs
   in
   Printf.printf "workload: %d matrices, density %.2f..%.2f (mean %.2f)\n"
-    (List.length matrices)
+    (List.length inputs)
     (Iced_util.Stats.minimum densities)
     (Iced_util.Stats.maximum densities)
     (Iced_util.Stats.mean densities);
-  let inputs = List.map P.of_lu_matrix matrices in
-  let profile =
-    let step = max 1 (List.length inputs / 50) in
-    List.filteri (fun i _ -> i mod step = 0) inputs
-  in
-  match Part.prepare cgra (P.lu ()) ~profile with
+  match App.partition App.Lu inputs with
   | Error msg -> prerr_endline ("partitioning failed: " ^ msg)
   | Ok partition ->
     Printf.printf "partition:\n";

@@ -8,23 +8,20 @@
 
    Run with:  dune exec examples/streaming_gcn.exe *)
 
-module W = Iced_stream.Workload
+module App = Iced_stream.App
 module P = Iced_stream.Pipeline
 module Part = Iced_stream.Partition
 module R = Iced_stream.Runner
 
 let () =
-  let cgra = Iced_arch.Cgra.iced_6x6 in
-  let graphs = W.enzyme_graphs ~seed:42 () in
-  Printf.printf "workload: %d graphs, mean degree %.1f (paper: 600 enzymes, 32.6)\n"
-    (List.length graphs) (W.mean_degree graphs);
-  let inputs = List.map P.of_gcn_graph graphs in
-  let profile =
-    let step = max 1 (List.length inputs / 50) in
-    List.filteri (fun i _ -> i mod step = 0) inputs
+  let inputs = App.inputs App.Gcn in
+  let degree i =
+    2.0 *. float_of_int (P.feature i "edges") /. float_of_int (P.feature i "vertices")
   in
-  let pipeline = P.gcn () in
-  match Part.prepare cgra pipeline ~profile with
+  Printf.printf "workload: %d graphs, mean degree %.1f (paper: 600 enzymes, 32.6)\n"
+    (List.length inputs)
+    (Iced_util.Stats.mean (List.map degree inputs));
+  match App.partition App.Gcn inputs with
   | Error msg -> prerr_endline ("partitioning failed: " ^ msg)
   | Ok partition ->
     Printf.printf "partition (9 islands):\n";

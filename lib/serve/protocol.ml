@@ -3,16 +3,15 @@ module Space = Iced_explore.Space
 module Outcome = Iced_explore.Outcome
 module Runner = Iced_stream.Runner
 module Campaign = Iced_campaign.Campaign
-
-type app = Campaign.app
+module App = Iced_stream.App
 
 type request =
   | Ping
   | Sleep of int
   | Map of { point : Space.point; kernel : string; backend : Iced_mapper.Backend.t }
   | Explore of { spec : Space.spec; kernels : string list }
-  | Stream of { app : app; policy : Runner.policy; inputs : int }
-  | Fault of { app : app; seeds : int; faults : int; inputs : int; window : int }
+  | Stream of { app : App.t; policy : Runner.policy; inputs : int }
+  | Fault of { app : App.t; seeds : int; faults : int; inputs : int; window : int }
   | Stats
   | Health
   | Crash of { kill : bool }
@@ -53,37 +52,6 @@ let default_point =
     unroll = 1;
     max_ii = 64;
   }
-
-(* ------------------------------------------------------------------ *)
-(* field converters                                                    *)
-
-let floor_to_string = function
-  | Iced_arch.Dvfs.Rest -> "rest"
-  | Iced_arch.Dvfs.Relax -> "relax"
-  | Iced_arch.Dvfs.Normal -> "normal"
-  | Iced_arch.Dvfs.Power_gated -> "gated"
-
-let floor_of_string = function
-  | "rest" -> Some Iced_arch.Dvfs.Rest
-  | "relax" -> Some Iced_arch.Dvfs.Relax
-  | "normal" -> Some Iced_arch.Dvfs.Normal
-  | _ -> None
-
-let policy_of_string = function
-  | "static" -> Some Runner.Static
-  | "iced" -> Some Runner.Iced_dvfs
-  | "drips" -> Some Runner.Drips
-  | _ -> None
-
-let dims_to_string (r, c) = Printf.sprintf "%dx%d" r c
-
-let dims_of_string s =
-  match String.split_on_char 'x' s with
-  | [ a; b ] -> (
-    match (int_of_string_opt a, int_of_string_opt b) with
-    | Some r, Some c when r > 0 && c > 0 -> Some (r, c)
-    | _ -> None)
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* decoding                                                            *)
@@ -164,7 +132,7 @@ let decode line =
           | None -> fail (Printf.sprintf "field %S must be a boolean" name))
       in
       let app_field ?default name =
-        match Campaign.app_of_string (str_field ?default name) with
+        match App.of_string (str_field ?default name) with
         | Some a -> a
         | None -> fail (Printf.sprintf "field %S must be \"gcn\" or \"lu\"" name)
       in
@@ -223,17 +191,12 @@ let decode line =
             | _ -> fail (Printf.sprintf "bad design point %S" point_s))
           | Some "explore" ->
             let fabrics =
-              list_field ~conv:dims_of_string ~what:"dimensions \"RxC\""
+              list_field ~conv:Space.dims_of_string ~what:"dimensions \"RxC\""
                 ~default:[ (6, 6) ] "fabrics"
             in
             let islands =
-              list_field ~conv:dims_of_string ~what:"dimensions \"RxC\""
-                ~default:
-                  (List.sort_uniq compare
-                     (List.concat_map
-                        (fun (r, c) -> Space.tiling_islands r c)
-                        fabrics))
-                "islands"
+              list_field ~conv:Space.dims_of_string ~what:"dimensions \"RxC\""
+                ~default:(Space.default_islands fabrics) "islands"
             in
             let spec =
               {
@@ -241,7 +204,7 @@ let decode line =
                 islands;
                 spm_banks = int_list_field ~default:[ 8 ] "banks";
                 floors =
-                  list_field ~conv:floor_of_string
+                  list_field ~conv:Space.floor_of_string
                     ~what:"\"rest\", \"relax\", or \"normal\""
                     ~default:[ Iced_arch.Dvfs.Rest ] "floors";
                 unrolls = int_list_field ~default:[ 1 ] "unrolls";
@@ -254,7 +217,7 @@ let decode line =
           | Some "stream" ->
             let app = app_field "app" in
             let policy =
-              match policy_of_string (str_field ~default:"iced" "policy") with
+              match Runner.policy_of_string (str_field ~default:"iced" "policy") with
               | Some p -> p
               | None -> fail "field \"policy\" must be \"static\", \"iced\", or \"drips\""
             in
@@ -303,19 +266,19 @@ let encode_request { id; request; deadline_ms; tenant; qos } =
       if Iced_mapper.Backend.is_default backend then []
       else [ ("backend", J.Str (Iced_mapper.Backend.to_string backend)) ]
     | Explore { spec; kernels } ->
-      [ ("fabrics", strs (List.map dims_to_string spec.Space.fabrics));
-        ("islands", strs (List.map dims_to_string spec.Space.islands));
+      [ ("fabrics", strs (List.map Space.dims_to_string spec.Space.fabrics));
+        ("islands", strs (List.map Space.dims_to_string spec.Space.islands));
         ("banks", ints spec.Space.spm_banks);
-        ("floors", strs (List.map floor_to_string spec.Space.floors));
+        ("floors", strs (List.map Space.floor_to_string spec.Space.floors));
         ("unrolls", ints spec.Space.unrolls);
         ("max_iis", ints spec.Space.max_iis) ]
       @ if kernels = [] then [] else [ ("kernels", strs kernels) ]
     | Stream { app; policy; inputs } ->
-      [ ("app", J.Str (Campaign.app_to_string app));
+      [ ("app", J.Str (App.to_string app));
         ("policy", J.Str (Runner.policy_to_string policy));
         ("inputs", J.int inputs) ]
     | Fault { app; seeds; faults; inputs; window } ->
-      [ ("app", J.Str (Campaign.app_to_string app)); ("seeds", J.int seeds);
+      [ ("app", J.Str (App.to_string app)); ("seeds", J.int seeds);
         ("faults", J.int faults); ("inputs", J.int inputs); ("window", J.int window) ]
     | Crash { kill } -> if kill then [ ("kill", J.Bool true) ] else []
   in
@@ -371,7 +334,7 @@ let response_explore ~id ~frontier outcomes =
 
 let response_stream ~id ~app ~policy ~windows (t : Runner.totals) =
   reply ~id ~status:"ok" "stream"
-    [ ("app", J.Str (Campaign.app_to_string app));
+    [ ("app", J.Str (App.to_string app));
       ("policy", J.Str (Runner.policy_to_string policy)); ("windows", J.int windows);
       ("inputs", J.int t.Runner.total_inputs);
       ("throughput_per_s", J.Num t.Runner.overall_throughput_per_s);
@@ -379,27 +342,19 @@ let response_stream ~id ~app ~policy ~windows (t : Runner.totals) =
       ("efficiency", J.Num t.Runner.overall_efficiency) ]
 
 let response_fault ~id (c : Campaign.t) =
-  let mean l = match l with [] -> nan | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
-  let policy recovery =
-    let cells =
-      List.filter (fun (r : Campaign.run_result) -> r.Campaign.recovery = recovery) c.Campaign.runs
-    in
-    let survived = List.length (List.filter (fun (r : Campaign.run_result) -> r.Campaign.survived) cells) in
+  let policy (recovery, (s : Campaign.summary)) =
     J.Obj
       [ ("recovery", J.Str (Runner.recovery_to_string recovery));
-        ("cells", J.int (List.length cells));
-        ("survival", J.Num (float_of_int survived /. float_of_int (max 1 (List.length cells))));
-        ( "mean_retention",
-          J.Num (mean (List.map (fun (r : Campaign.run_result) -> r.Campaign.retention) cells)) );
-        ( "mean_mttr_us",
-          J.Num
-            (mean (List.map (fun (r : Campaign.run_result) -> r.Campaign.stats.Runner.mttr_us) cells))
-        ) ]
+        ("cells", J.int s.Campaign.cells);
+        ( "survival",
+          J.Num (float_of_int s.Campaign.survivors /. float_of_int (max 1 s.Campaign.cells)) );
+        ("mean_retention", J.Num s.Campaign.mean_retention);
+        ("mean_mttr_us", J.Num s.Campaign.mean_mttr_us) ]
   in
   reply ~id ~status:"ok" "fault"
-    [ ("app", J.Str (Campaign.app_to_string c.Campaign.spec.Campaign.app));
+    [ ("app", J.Str (App.to_string c.Campaign.spec.Campaign.app));
       ("cells", J.int (List.length c.Campaign.runs));
-      ("policies", J.Arr (List.map policy c.Campaign.spec.Campaign.recoveries)) ]
+      ("policies", J.Arr (List.map policy (Campaign.summary c))) ]
 
 let response_shutdown ~id = reply ~id ~status:"ok" "shutdown" []
 

@@ -19,8 +19,6 @@
 
     See docs/SERVING.md for the full request/response reference. *)
 
-type app = Iced_campaign.Campaign.app
-
 type request =
   | Ping  (** liveness check *)
   | Sleep of int  (** hold a worker for N ms — load/backpressure testing *)
@@ -37,10 +35,10 @@ type request =
   | Explore of { spec : Iced_explore.Space.spec; kernels : string list }
       (** run a sweep over a declarative space ([kernels = []] means
           the standalone Table I set); shares the daemon's cache *)
-  | Stream of { app : app; policy : Iced_stream.Runner.policy; inputs : int }
+  | Stream of { app : Iced_stream.App.t; policy : Iced_stream.Runner.policy; inputs : int }
       (** run a streaming application over its dataset ([inputs = 0]
           means the whole dataset) and return aggregate totals *)
-  | Fault of { app : app; seeds : int; faults : int; inputs : int; window : int }
+  | Fault of { app : Iced_stream.App.t; seeds : int; faults : int; inputs : int; window : int }
       (** run a seeded fault campaign (all recovery policies and fault
           families) and return per-policy survival/retention *)
   | Stats  (** SLO snapshot: queue depth, latency quantiles, dedup counters *)
@@ -132,14 +130,15 @@ val response_explore :
 
 val response_stream :
   id:string ->
-  app:app ->
+  app:Iced_stream.App.t ->
   policy:Iced_stream.Runner.policy ->
   windows:int ->
   Iced_stream.Runner.totals ->
   string
 
 val response_fault : id:string -> Iced_campaign.Campaign.t -> string
-(** Per-recovery-policy aggregates over the campaign's cells. *)
+(** {!Iced_campaign.Campaign.summary}: per-recovery-policy aggregates
+    over the campaign's cells. *)
 
 val response_shutdown : id:string -> string
 
