@@ -76,14 +76,5 @@ let dfg ~nodes ~seed =
   g'
 
 let kernel ~nodes ~seed =
-  let g = dfg ~nodes ~seed in
-  let n1, e1, r1 = Kernel.stats g in
-  let g2 = Transform.unroll g ~spec:{ Transform.factor = 2; shared = []; serial_phis = [] } in
-  let n2, e2, r2 = Kernel.stats g2 in
-  Kernel.make
-    ~name:(name ~nodes ~seed)
-    ~domain:Kernel.Hpc ~data:"synthetic" ~dfg:g
-    ~table:
-      { Kernel.nodes1 = n1; edges1 = e1; rec_mii1 = r1; nodes2 = n2; edges2 = e2;
-        rec_mii2 = r2 }
-    ~iterations:128 ()
+  Kernel.make ~name:(name ~nodes ~seed) ~domain:Kernel.Hpc ~data:"synthetic"
+    ~dfg:(dfg ~nodes ~seed) ~iterations:128 ()

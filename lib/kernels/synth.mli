@@ -25,5 +25,4 @@ val dfg : nodes:int -> seed:int -> Iced_dfg.Graph.t
 
 val kernel : nodes:int -> seed:int -> Kernel.t
 (** The graph wrapped as a kernel (domain [Hpc], synthetic data tag,
-    table stats measured from the generated graph at unroll factors 1
-    and 2). *)
+    no published statistics). *)

@@ -9,7 +9,7 @@ let test_table1_uf1_exact () =
   List.iter
     (fun (k : Kernel.t) ->
       let n, e, r = Kernel.stats k.dfg in
-      let p = k.table in
+      let p = Option.get k.table in
       Alcotest.(check (triple int int int))
         (k.name ^ " uf1 matches Table I")
         (p.nodes1, p.edges1, p.rec_mii1) (n, e, r))
@@ -19,7 +19,7 @@ let test_table1_uf2_nodes_and_mii_exact () =
   List.iter
     (fun (k : Kernel.t) ->
       let n, _, r = Kernel.stats (Kernel.dfg_at k ~factor:2) in
-      let p = k.table in
+      let p = Option.get k.table in
       Alcotest.(check (pair int int))
         (k.name ^ " uf2 nodes/RecMII match Table I")
         (p.nodes2, p.rec_mii2) (n, r))
@@ -31,9 +31,9 @@ let test_table1_uf2_edges_close () =
   List.iter
     (fun (k : Kernel.t) ->
       let _, e, _ = Kernel.stats (Kernel.dfg_at k ~factor:2) in
-      let delta = abs (e - k.table.edges2) in
-      if delta > 6 then
-        Alcotest.failf "%s uf2 edges %d too far from paper %d" k.name e k.table.edges2)
+      let paper = (Option.get k.table).edges2 in
+      if abs (e - paper) > 6 then
+        Alcotest.failf "%s uf2 edges %d too far from paper %d" k.name e paper)
     all
 
 let test_all_graphs_validate () =
@@ -247,6 +247,31 @@ let test_all_kernels_deterministic () =
       if a <> b then Alcotest.failf "%s non-deterministic" k.name)
     all
 
+(* The unroll-2 graph is built once per kernel: repeated calls return
+   the same physical graph, and so do two domains racing on a kernel no
+   one has unrolled yet (fresh synthetic kernels, several rounds). *)
+let test_unrolled_graph_shared () =
+  List.iter
+    (fun (k : Kernel.t) ->
+      let g = Kernel.dfg_at k ~factor:2 in
+      Alcotest.(check bool) (k.name ^ " same graph") true (Kernel.dfg_at k ~factor:2 == g);
+      Alcotest.(check bool) (k.name ^ " factor 1 is the dfg") true
+        (Kernel.dfg_at k ~factor:1 == k.dfg))
+    all;
+  for seed = 1 to 8 do
+    let k = Synth.kernel ~nodes:60 ~seed in
+    let unroll () = Kernel.dfg_at k ~factor:2 in
+    let a = Domain.spawn unroll and b = Domain.spawn unroll in
+    let ga = Domain.join a and gb = Domain.join b in
+    Alcotest.(check bool) (k.name ^ " one graph across domains") true
+      (ga == gb && unroll () == ga);
+    Alcotest.(check bool) (k.name ^ " is the unrolled dfg") true
+      (Kernel.stats ga
+      = Kernel.stats
+          (Iced_dfg.Transform.unroll k.dfg
+             ~spec:{ Iced_dfg.Transform.factor = 2; shared = []; serial_phis = [] }))
+  done
+
 let suite =
   [
     ("Table I uf1 exact (21 kernels)", `Quick, test_table1_uf1_exact);
@@ -266,4 +291,5 @@ let suite =
     ("conv golden semantics", `Quick, test_conv_golden);
     ("gemm golden semantics", `Quick, test_gemm_golden);
     ("all kernels deterministic", `Quick, test_all_kernels_deterministic);
+    ("unroll-2 graph built once, shared across domains", `Quick, test_unrolled_graph_shared);
   ]
