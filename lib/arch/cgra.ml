@@ -91,8 +91,6 @@ let island_tiles t island =
   done;
   !acc
 
-let same_island t a b = island_of t a = island_of t b
-
 let restrict t ~islands:wanted =
   List.filter (fun id -> List.mem (island_of t id) wanted) (List.init (tile_count t) (fun i -> i))
 

@@ -77,8 +77,6 @@ val island_tiles : t -> int -> int list
 val islands : t -> int list
 (** All island ids. *)
 
-val same_island : t -> int -> int -> bool
-
 val restrict : t -> islands:int list -> int list
 (** Tiles belonging to the given islands — the sub-fabric a streaming
     kernel is confined to. *)

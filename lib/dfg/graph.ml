@@ -74,32 +74,6 @@ let intra_successors g id =
 let intra_predecessors g id =
   List.filter_map (fun e -> if e.distance = 0 then Some e.src else None) (predecessors g id)
 
-let map_ids g ~f =
-  let remap_edge e = { e with src = f e.src; dst = f e.dst } in
-  let remap_node n = { n with id = f n.id } in
-  let nodes =
-    Int_map.fold (fun id n acc -> Int_map.add (f id) (remap_node n) acc) g.nodes Int_map.empty
-  in
-  let remap_edges key_of map =
-    Int_map.fold
-      (fun _ es acc ->
-        List.fold_left
-          (fun acc e ->
-            let e = remap_edge e in
-            let key = key_of e in
-            let existing = match Int_map.find_opt key acc with Some l -> l | None -> [] in
-            Int_map.add key (existing @ [ e ]) acc)
-          acc es)
-      map Int_map.empty
-  in
-  let next_id = Int_map.fold (fun id _ acc -> max acc (id + 1)) nodes 0 in
-  {
-    nodes;
-    succ = remap_edges (fun e -> e.src) g.succ;
-    pred = remap_edges (fun e -> e.dst) g.pred;
-    next_id;
-  }
-
 (* Kahn's algorithm restricted to distance-0 edges; returns None when the
    intra-iteration subgraph contains a cycle. *)
 let intra_topological g =

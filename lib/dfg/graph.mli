@@ -57,9 +57,6 @@ val intra_successors : t -> int -> int list
 
 val intra_predecessors : t -> int -> int list
 
-val map_ids : t -> f:(int -> int) -> t
-(** Renumber nodes with an injective function; used by transforms. *)
-
 val node_ids : t -> int list
 
 val intra_topological : t -> int list option

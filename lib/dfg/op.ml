@@ -22,8 +22,6 @@ type t =
 
 let needs_memory = function Load | Store -> true | _ -> false
 
-let is_associative = function Add | Mul | And | Or | Xor -> true | _ -> false
-
 let latency _ = 1
 
 let cmp_to_string = function
@@ -55,6 +53,3 @@ let to_string = function
   | Route -> "route"
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
-
-let all_basic =
-  [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Cmp Lt; Select; Phi; Load; Store; Gep ]

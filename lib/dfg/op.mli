@@ -31,17 +31,9 @@ val needs_memory : t -> bool
 (** [true] for operations that must sit on a tile with a scratchpad
     port (Load/Store). *)
 
-val is_associative : t -> bool
-(** Whether a reduction through this operation may be re-associated by
-    the unroller into parallel partial results (Add/Mul/And/Or/Xor). *)
-
 val latency : t -> int
 (** Latency in tile-local cycles.  Always 1 in the ICED prototype. *)
 
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-val all_basic : t list
-(** The non-parameterized opcodes, for random DFG generation in
-    property tests. *)

@@ -87,8 +87,3 @@ let summarize (r : point_result) =
     mean_edp = stat (fun m -> m.edp);
     mean_power_mw = stat (fun m -> m.power_mw);
   }
-
-let status_to_string = function
-  | Mapped m -> Printf.sprintf "ok(ii=%d)" m.ii
-  | Failed msg -> "failed: " ^ msg
-  | Timed_out -> "timeout"

@@ -58,5 +58,3 @@ val evaluate_kernel :
     mapper's telemetry. *)
 
 val summarize : point_result -> summary
-
-val status_to_string : status -> string

@@ -14,8 +14,5 @@ let frontier ~objectives candidates =
       && not (List.exists (fun other -> dominates ~objectives other c) candidates))
     candidates
 
-let throughput_energy (s : Outcome.summary) =
-  [ s.Outcome.geo_throughput_mips; -.s.Outcome.mean_energy_nj ]
-
 let throughput_energy_edp (s : Outcome.summary) =
   [ s.Outcome.geo_throughput_mips; -.s.Outcome.mean_energy_nj; -.s.Outcome.mean_edp ]

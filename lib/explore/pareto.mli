@@ -14,9 +14,5 @@ val frontier : objectives:('a -> float list) -> 'a list -> 'a list
     objective vectors all survive (none strictly dominates the other),
     so frontier membership is deterministic. *)
 
-val throughput_energy : Outcome.summary -> float list
-(** Maximize geomean throughput, minimize mean energy — the paper's
-    headline energy/performance trade. *)
-
 val throughput_energy_edp : Outcome.summary -> float list
 (** The three-axis variant, adding minimized mean EDP. *)

@@ -29,12 +29,6 @@ let permanent = function
   | Tile_dead _ | Link_broken _ | Island_down _ -> true
   | Upsets _ -> false
 
-let class_of = function
-  | Tile_dead _ -> Tile
-  | Link_broken _ -> Link
-  | Island_down _ -> Island
-  | Upsets _ -> Upset
-
 let island_of cgra = function
   | Tile_dead tile | Link_broken { tile; _ } -> Cgra.island_of cgra tile
   | Island_down island | Upsets { island; _ } -> island

@@ -60,8 +60,6 @@ val events_at : plan -> int -> kind list
 val permanent : kind -> bool
 (** Tile, link, and regulator faults are permanent; upsets are not. *)
 
-val class_of : kind -> kind_class
-
 val island_of : Cgra.t -> kind -> int
 (** The island a fault lands on. *)
 

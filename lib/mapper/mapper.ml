@@ -50,11 +50,9 @@ type stats = Telemetry.t = {
 }
 
 let create_stats = Telemetry.create
-let reset_stats = Telemetry.reset
 let merge_stats = Telemetry.merge
 let per_ii_times = Telemetry.per_ii
 let stats_to_json = Telemetry.to_json
-let pp_stats = Telemetry.pp
 
 let map ?stats req dfg = Search.run ?stats req dfg
 

@@ -118,7 +118,6 @@ type stats = Telemetry.t = {
     sink — see {!Telemetry}. *)
 
 val create_stats : unit -> stats
-val reset_stats : stats -> unit
 
 val merge_stats : into:stats -> stats -> unit
 (** Aggregate one run's counters into a campaign-wide sink. *)
@@ -128,8 +127,6 @@ val per_ii_times : stats -> (int * float) list
 
 val stats_to_json : stats -> Iced_util.Json.value
 (** One flat JSON object (the CLI's [--stats --json] payload). *)
-
-val pp_stats : Format.formatter -> stats -> unit
 
 val map : ?stats:stats -> request -> Graph.t -> (Mapping.t, string) result
 (** Map a kernel.  The result carries Algorithm 1's labels and an

@@ -28,7 +28,6 @@ let placement t node =
   | None -> raise Not_found
 
 let tile_of_node t node = fst (placement t node)
-let time_of_node t node = snd (placement t node)
 
 let label t node =
   match List.assoc_opt node t.labels with Some l -> l | None -> Dvfs.Normal
@@ -44,10 +43,6 @@ let route_of_edge t (edge : Graph.edge) =
   List.find_opt
     (fun r -> r.edge.src = edge.src && r.edge.dst = edge.dst && r.edge.distance = edge.distance)
     t.routes
-
-let nodes_on_tile t tile =
-  List.filter_map (fun (node, (tl, _)) -> if tl = tile then Some node else None) t.placements
-  |> List.sort compare
 
 let events_of_tile t tile =
   let fu =

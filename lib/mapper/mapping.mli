@@ -50,7 +50,6 @@ val placement : t -> int -> int * int
 (** (tile, time) of a node.  @raise Not_found for unplaced ids. *)
 
 val tile_of_node : t -> int -> int
-val time_of_node : t -> int -> int
 
 val label : t -> int -> Dvfs.level
 (** Algorithm 1 label of a node (defaults to [Normal] if absent). *)
@@ -64,8 +63,6 @@ val level_of_tile : t -> int -> Dvfs.level
 val with_levels : t -> (int * Dvfs.level) list -> t
 
 val route_of_edge : t -> Graph.edge -> route option
-
-val nodes_on_tile : t -> int -> int list
 
 val events_of_tile : t -> int -> (int * [ `Fu of int | `Hop of Graph.edge ]) list
 (** Every scheduled event on a tile as (absolute time, what): FU

@@ -39,25 +39,6 @@ let create () =
     wall_s = 0.0;
   }
 
-let reset t =
-  t.attempts <- 0;
-  t.ii_bumps <- 0;
-  t.margin_position <- 0;
-  t.placements_tried <- 0;
-  t.route_calls <- 0;
-  t.route_failures <- 0;
-  t.expansions <- 0;
-  t.sa_moves_accepted <- 0;
-  t.sa_moves_rejected <- 0;
-  t.sa_temp_steps <- 0;
-  t.pf_rounds <- 0;
-  t.pf_overflow <- 0;
-  t.sat_conflicts <- 0;
-  t.sat_decisions <- 0;
-  t.sat_propagations <- 0;
-  t.per_ii_s <- [];
-  t.wall_s <- 0.0
-
 let per_ii t = List.rev t.per_ii_s
 
 let add_ii_time t ~ii seconds = t.per_ii_s <- (ii, seconds) :: t.per_ii_s
@@ -95,13 +76,3 @@ let to_json t =
       ("sat_propagations", J.int t.sat_propagations);
       ("per_ii_s", J.Arr (List.map (fun (ii, s) -> J.Arr [ J.int ii; J.Num s ]) (per_ii t)));
       ("wall_s", J.Num t.wall_s) ]
-
-let pp fmt t =
-  Format.fprintf fmt
-    "attempts=%d ii_bumps=%d margin=%d placements=%d routes=%d/%d fail expansions=%d \
-     sa=%d+/%d- temps=%d pf_rounds=%d pf_overflow=%d sat=%dc/%dd/%dp \
-     wall=%.3fs"
-    t.attempts t.ii_bumps t.margin_position t.placements_tried t.route_calls
-    t.route_failures t.expansions t.sa_moves_accepted t.sa_moves_rejected
-    t.sa_temp_steps t.pf_rounds t.pf_overflow t.sat_conflicts t.sat_decisions
-    t.sat_propagations t.wall_s

@@ -38,8 +38,6 @@ type t = {
 val create : unit -> t
 (** All-zero record. *)
 
-val reset : t -> unit
-
 val per_ii : t -> (int * float) list
 (** Per-II attempt wall time in ascending attempt order. *)
 
@@ -51,6 +49,3 @@ val merge : into:t -> t -> unit
 
 val to_json : t -> Iced_util.Json.value
 (** One flat JSON object (per-II times as [[ii, seconds]] pairs). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line human-readable summary. *)

@@ -4,12 +4,6 @@ type design = Baseline | Baseline_gated | Per_tile_dvfs | Iced
 
 type tile_state = { level : Dvfs.level; activity : float }
 
-let design_to_string = function
-  | Baseline -> "baseline"
-  | Baseline_gated -> "baseline+pg"
-  | Per_tile_dvfs -> "per-tile dvfs+pg"
-  | Iced -> "iced"
-
 let controller_count design cgra =
   match design with
   | Baseline | Baseline_gated -> 0

@@ -25,9 +25,6 @@ type tile_state = {
   activity : float;  (** busy fraction of local cycles, in [0, 1] *)
 }
 
-val design_to_string : design -> string
-(** Human-readable design-point name, as printed in reports. *)
-
 val controller_count : design -> Cgra.t -> int
 (** Number of DVFS controllers the design instantiates on the given
     fabric: 0 for the baselines, one per tile for per-tile DVFS, one

@@ -65,7 +65,6 @@ let read_line ?(stop = never_stop) r =
 type writer = { wfd : Unix.file_descr; mutable broken : bool }
 
 let writer fd = { wfd = fd; broken = false }
-let writer_broken w = w.broken
 
 let write_line w line =
   if w.broken then false

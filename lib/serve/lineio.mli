@@ -30,5 +30,3 @@ val write_line : writer -> string -> bool
     {e broken} and every later write is a silent no-op — the server
     keeps draining work for a vanished client without dying on
     SIGPIPE-adjacent errors. *)
-
-val writer_broken : writer -> bool

@@ -17,8 +17,6 @@ let fmt_float value =
     Printf.sprintf "%.0f" value
   else Printf.sprintf "%.3f" value
 
-let add_float_row t label values = add_row t (label :: List.map fmt_float values)
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in

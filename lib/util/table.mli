@@ -13,10 +13,6 @@ val add_row : t -> string list -> unit
 (** Append a row.  @raise Invalid_argument if the arity differs from
     the header. *)
 
-val add_float_row : t -> string -> float list -> unit
-(** [add_float_row t label values] appends [label] followed by each
-    value formatted with 3 significant decimals. *)
-
 val render : t -> string
 (** Render with box-drawing rules and a title line. *)
 
