@@ -193,9 +193,8 @@ let test_label_guard_raises_floor () =
 
 let lu_prepared =
   lazy
-    (let inputs = List.map P.of_lu_matrix (W.ufl_matrices ~seed:7 ()) in
-     let profile = List.filteri (fun i _ -> i mod 3 = 0) inputs in
-     match Part.prepare cgra (P.lu ()) ~profile with
+    (let inputs = Iced_stream.App.inputs Iced_stream.App.Lu in
+     match Iced_stream.App.partition Iced_stream.App.Lu inputs with
      | Ok p -> (p, inputs)
      | Error e -> failwith e)
 

@@ -82,13 +82,15 @@ let test_pipeline_find () =
 
 (* ---------------- Partition ---------------- *)
 
-let prepared =
+(* an app's whole dataset and its partition, as every edge sets it up *)
+let prepared_app app =
   lazy
-    (let inputs = List.map P.of_gcn_graph (W.enzyme_graphs ~seed:42 ()) in
-     let profile = List.filteri (fun i _ -> i mod 12 = 0) inputs in
-     match Part.prepare cgra (P.gcn ()) ~profile with
+    (let inputs = Iced_stream.App.inputs app in
+     match Iced_stream.App.partition app inputs with
      | Ok p -> (p, inputs)
      | Error e -> failwith e)
+
+let prepared = prepared_app Iced_stream.App.Gcn
 
 let test_partition_allocates_all_islands () =
   let p, _ = Lazy.force prepared in
@@ -134,13 +136,7 @@ let test_partition_too_many_kernels () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "6 kernels cannot fit 1 island"
 
-let lu_prepared =
-  lazy
-    (let inputs = List.map P.of_lu_matrix (W.ufl_matrices ~seed:7 ()) in
-     let profile = List.filteri (fun i _ -> i mod 3 = 0) inputs in
-     match Part.prepare cgra (P.lu ()) ~profile with
-     | Ok p -> (p, inputs)
-     | Error e -> failwith e)
+let lu_prepared = prepared_app Iced_stream.App.Lu
 
 let test_lu_partition () =
   let p, _ = Lazy.force lu_prepared in
@@ -410,6 +406,28 @@ let test_candidates_priced () =
       (List.mem dead c.Part.mapping.Iced_mapper.Mapping.tiles);
     check_priced "remapped override" c
 
+(* A counted stream is a prefix of a longer one, past the dataset's
+   size too: the generators draw in order. *)
+let test_app_streams_are_prefixes () =
+  List.iter
+    (fun (app, size) ->
+      let name = Iced_stream.App.to_string app in
+      let full = Iced_stream.App.inputs app in
+      Alcotest.(check int) (name ^ " dataset size") size (List.length full);
+      let longer = Iced_stream.App.inputs ~count:(size + 50) app in
+      Alcotest.(check int) (name ^ " counted past the dataset") (size + 50)
+        (List.length longer);
+      List.iter
+        (fun n ->
+          let prefix l = List.filteri (fun i _ -> i < n) l in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %d is a prefix" name n)
+            true
+            (Iced_stream.App.inputs ~count:n app = prefix full
+            && prefix longer = prefix full))
+        [ 1; 12; size ])
+    [ (Iced_stream.App.Gcn, 600); (Iced_stream.App.Lu, 150) ]
+
 let suite =
   [
     ("workload: enzyme stream", `Quick, test_enzyme_stream);
@@ -443,4 +461,5 @@ let suite =
     ("lu: partition feasible", `Slow, test_lu_partition);
     ("lu: iced beats drips (Fig. 13)", `Slow, test_lu_iced_beats_drips);
     ("partition: candidates priced like a fresh per_tile", `Slow, test_candidates_priced);
+    ("app: counted streams are prefixes", `Quick, test_app_streams_are_prefixes);
   ]
