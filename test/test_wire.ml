@@ -102,8 +102,8 @@ let requests =
     ("map every extra", frame ~deadline_ms:0 ~tenant:hostile ~qos:"batch" hostile (Protocol.Map { point; kernel = hostile; backend = Backend.sa }));
     ("explore", frame "e" (Protocol.Explore { spec; kernels = [ "fir"; "gemm" ] }));
     ("explore all kernels", frame "e2" (Protocol.Explore { spec; kernels = [] }));
-    ("stream", frame "st" (Protocol.Stream { app = Campaign.Gcn; policy = Runner.Iced_dvfs; inputs = 12 }));
-    ("fault", frame "f" (Protocol.Fault { app = Campaign.Lu; seeds = 2; faults = 1; inputs = 50; window = 10 }));
+    ("stream", frame "st" (Protocol.Stream { app = Iced_stream.App.Gcn; policy = Runner.Iced_dvfs; inputs = 12 }));
+    ("fault", frame "f" (Protocol.Fault { app = Iced_stream.App.Lu; seeds = 2; faults = 1; inputs = 50; window = 10 }));
     ("stats", frame "" Protocol.Stats);
     ("health", frame ~tenant:"t" "h" Protocol.Health);
     ("crash", frame "c" (Protocol.Crash { kill = false }));
@@ -124,7 +124,7 @@ let responses =
         Protocol.response_explore ~id:"e"
           ~frontier:[ Outcome.summarize (List.hd explore_outcomes) ]
           explore_outcomes );
-    ("stream", fun () -> Protocol.response_stream ~id:"st" ~app:Campaign.Gcn ~policy:Runner.Drips ~windows:3 totals);
+    ("stream", fun () -> Protocol.response_stream ~id:"st" ~app:Iced_stream.App.Gcn ~policy:Runner.Drips ~windows:3 totals);
     ("fault", fun () -> Protocol.response_fault ~id:"f" (Lazy.force campaign));
     ("shutdown", fun () -> Protocol.response_shutdown ~id:"z");
     ("timeout", fun () -> Protocol.response_timeout ~id:"s" ~op:"sleep");
