@@ -46,25 +46,22 @@ let measure ~params (e : Design.evaluation) =
     edp = energy_nj *. iter_us;
   }
 
-let deadline_marker = "deadline exceeded"
-
-let is_deadline_error msg =
-  let n = String.length deadline_marker in
-  let rec scan i =
-    i + n <= String.length msg
-    && (String.sub msg i n = deadline_marker || scan (i + 1))
-  in
-  scan 0
-
 let evaluate_kernel ?(cancel = fun () -> false) ?(backend = Iced_mapper.Backend.default)
     ?stats ~params (p : Space.point) kernel =
+  (* a timeout is what the caller's own hook says it is, whatever the
+     mapper's message reads *)
+  let cancelled = ref false in
+  let cancel () =
+    if cancel () then cancelled := true;
+    !cancelled
+  in
   match
     Design.evaluate ~cgra:(Space.cgra p) ~params ~unroll:p.Space.unroll
       ~label_floor:p.Space.floor ~max_ii:p.Space.max_ii ~cancel ~backend ?stats
       Design.Iced kernel
   with
   | Ok e -> Mapped (measure ~params e)
-  | Error msg -> if is_deadline_error msg then Timed_out else Failed msg
+  | Error msg -> if !cancelled then Timed_out else Failed msg
   | exception Invalid_argument msg -> Failed msg
 
 let summarize (r : point_result) =

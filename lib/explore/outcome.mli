@@ -52,8 +52,9 @@ val evaluate_kernel :
   params:Iced_power.Params.t -> Space.point -> Iced_kernels.Kernel.t -> status
 (** Map one kernel on one point ([Iced.Design.Iced] flow on the
     point's fabric, floor, and II cap) and measure it.  [cancel] is the
-    sweep's per-point timeout hook: when it fires mid-search the status
-    is [Timed_out].  [backend] (default {!Iced_mapper.Backend.default})
+    caller's timeout hook: an evaluation that fails after it returned
+    [true] is [Timed_out]; any other failure is [Failed] with the
+    mapper's message.  [backend] (default {!Iced_mapper.Backend.default})
     selects the mapper's placement/routing pair; [stats] receives the
     mapper's telemetry. *)
 

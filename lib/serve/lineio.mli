@@ -12,9 +12,17 @@ type reader
 
 val reader : Unix.file_descr -> reader
 
-val read_line : ?stop:(unit -> bool) -> reader -> [ `Line of string | `Eof | `Stopped ]
+val max_line : int
+(** The longest line {!read_line} returns, in bytes before the
+    terminator: 1 MiB, far above any frame the protocol needs. *)
+
+val read_line :
+  ?stop:(unit -> bool) -> reader -> [ `Line of string | `Too_long | `Eof | `Stopped ]
 (** Next newline-terminated line (terminator removed, a trailing [\r]
-    tolerated).  [`Eof] on end-of-stream or peer reset — an
+    tolerated), in time linear in its length.  [`Too_long] once a line
+    passes {!max_line}: the line is never held whole, and the bytes up
+    to its newline are read and dropped, so the next call returns the
+    line after it.  [`Eof] on end-of-stream or peer reset — an
     unterminated final partial line is a torn frame and is discarded,
     never returned.  [`Stopped] as soon as [stop ()] holds (checked
     before every blocking read; combine with a signal handler to

@@ -222,15 +222,23 @@ let health_line ~id ~workers ~alive ~restarts ~restart_budget ~queue_depth ~queu
          ("cache", cache_health_json cache) ])
 
 (* ------------------------------------------------------------------ *)
+(* deadlines                                                           *)
+
+(* The one deadline rule: the frame's own [deadline_ms], else
+   [default_ms], counted from [now], when the daemon accepts the frame.
+   [None]: no deadline. *)
+let deadline ?default_ms ~now (frame : Protocol.frame) =
+  let ms = match frame.Protocol.deadline_ms with None -> default_ms | own -> own in
+  Option.map (fun ms -> now +. (float_of_int ms /. 1000.0)) ms
+
+let past deadline_at now = match deadline_at with Some d -> now >= d | None -> false
+
+(* ------------------------------------------------------------------ *)
 (* the exception barrier                                               *)
 
 let dispatch ~cache ~stats ~health ~start ~deadline_at (frame : Protocol.frame) =
   let id = frame.Protocol.id in
-  let expired () =
-    match deadline_at with
-    | Some d -> Clock.now () >= d
-    | None -> false
-  in
+  let expired () = past deadline_at (Clock.now ()) in
   match frame.Protocol.request with
   | Protocol.Ping -> Protocol.response_ping ~id
   | Protocol.Sleep ms -> (
@@ -269,10 +277,7 @@ let handle ?(catch_kill = true) ?deadline_at ?health ~cache ~stats
   let id = frame.Protocol.id in
   let start = Clock.now () in
   let deadline_at =
-    match deadline_at with
-    | Some _ as d -> d
-    | None ->
-      Option.map (fun ms -> start +. (float_of_int ms /. 1000.0)) frame.Protocol.deadline_ms
+    match deadline_at with Some _ as d -> d | None -> deadline ~now:start frame
   in
   let health =
     match health with
@@ -282,14 +287,9 @@ let handle ?(catch_kill = true) ?deadline_at ?health ~cache ~stats
         health_line ~id ~workers:0 ~alive:0 ~restarts:0 ~restart_budget:0 ~queue_depth:0
           ~queue_length:0 cache
   in
-  let expired_now () =
-    match deadline_at with
-    | Some d -> start >= d
-    | None -> false
-  in
   (* shed-on-expiry: queue wait already consumed the whole budget, so
      answer timeout without touching the handler at all *)
-  if expired_now () then begin
+  if past deadline_at start then begin
     Metrics.incr "serve.deadline_expired";
     match frame.Protocol.request with
     | Protocol.Map { point; kernel; backend = _ } ->
@@ -331,36 +331,26 @@ type t = {
 }
 
 let emit t line ~latency_s =
-  Mutex.lock t.respond_mu;
-  (match t.respond line ~latency_s with
-  | () -> Mutex.unlock t.respond_mu
-  | exception e ->
-    Mutex.unlock t.respond_mu;
-    raise e);
-  Mutex.lock t.state_mu;
-  t.served_n <- t.served_n + 1;
-  Mutex.unlock t.state_mu
+  Mutex.protect t.respond_mu (fun () -> t.respond line ~latency_s);
+  Mutex.protect t.state_mu (fun () -> t.served_n <- t.served_n + 1)
 
 let pool_stats t ~id =
-  Mutex.lock t.state_mu;
-  let served = t.served_n and shed = t.shed_n and pending = t.pending in
-  Mutex.unlock t.state_mu;
+  let served, shed, pending =
+    Mutex.protect t.state_mu (fun () -> (t.served_n, t.shed_n, t.pending))
+  in
   stats_line ~id ~workers:t.config.workers ~queue_depth:t.config.queue_depth
     ~queue_length:(Bqueue.length t.queue) ~pending ~served ~shed t.config.cache
 
 let pool_health t ~id =
-  Mutex.lock t.state_mu;
-  let alive = t.alive_n and restarts = t.restarts_n in
-  Mutex.unlock t.state_mu;
+  let alive, restarts = Mutex.protect t.state_mu (fun () -> (t.alive_n, t.restarts_n)) in
   health_line ~id ~workers:t.config.workers ~alive ~restarts
     ~restart_budget:t.config.restart_budget ~queue_depth:t.config.queue_depth
     ~queue_length:(Bqueue.length t.queue) t.config.cache
 
 let mark_done t =
-  Mutex.lock t.state_mu;
-  t.pending <- t.pending - 1;
-  if t.pending = 0 then Condition.broadcast t.idle;
-  Mutex.unlock t.state_mu
+  Mutex.protect t.state_mu (fun () ->
+      t.pending <- t.pending - 1;
+      if t.pending = 0 then Condition.broadcast t.idle)
 
 (* every worker over budget: nothing will pop the queue again, so shut
    the door (future submits shed) and fail whatever is already queued
@@ -402,18 +392,13 @@ let supervise_kill t item e =
   let op = Protocol.op_to_string item.frame.Protocol.request in
   let line = internal_error_line ~id ~op e in
   emit t line ~latency_s:(Clock.now () -. item.submitted);
-  Mutex.lock t.state_mu;
-  t.restarts_n <- t.restarts_n + 1;
-  let restarts = t.restarts_n in
-  let budget_left = restarts <= t.config.restart_budget in
-  let last_alive =
-    if budget_left then false
-    else begin
-      t.alive_n <- t.alive_n - 1;
-      t.alive_n = 0
-    end
+  let restarts, budget_left, last_alive =
+    Mutex.protect t.state_mu (fun () ->
+        t.restarts_n <- t.restarts_n + 1;
+        let budget_left = t.restarts_n <= t.config.restart_budget in
+        if not budget_left then t.alive_n <- t.alive_n - 1;
+        (t.restarts_n, budget_left, (not budget_left) && t.alive_n = 0))
   in
-  Mutex.unlock t.state_mu;
   Metrics.incr "serve.worker_restarts";
   if budget_left then
     Printf.eprintf "[serve] worker killed by op %s (id %s); restarted (%d/%d)\n%!" op
@@ -468,36 +453,26 @@ let create ?(respond = fun _line ~latency_s:_ -> ()) config =
 let submit t (frame : Protocol.frame) =
   Metrics.incr "serve.requests";
   Metrics.incr ("serve.req." ^ Protocol.op_to_string frame.Protocol.request);
-  Mutex.lock t.state_mu;
-  t.pending <- t.pending + 1;
-  Mutex.unlock t.state_mu;
+  Mutex.protect t.state_mu (fun () -> t.pending <- t.pending + 1);
   let submitted = Clock.now () in
-  let deadline_at =
-    match frame.Protocol.deadline_ms with
-    | Some ms -> Some (submitted +. (float_of_int ms /. 1000.0))
-    | None ->
-      Option.map
-        (fun ms -> submitted +. (float_of_int ms /. 1000.0))
-        t.config.default_deadline_ms
-  in
+  let deadline_at = deadline ?default_ms:t.config.default_deadline_ms ~now:submitted frame in
   if Bqueue.try_push t.queue { frame; submitted; deadline_at } then begin
     Metrics.gauge "serve.queue_depth" (float_of_int (Bqueue.length t.queue));
     true
   end
   else begin
     let depth = Bqueue.length t.queue in
-    Mutex.lock t.state_mu;
-    t.pending <- t.pending - 1;
-    t.shed_n <- t.shed_n + 1;
-    if t.pending = 0 then Condition.broadcast t.idle;
-    Mutex.unlock t.state_mu;
+    Mutex.protect t.state_mu (fun () ->
+        t.pending <- t.pending - 1;
+        t.shed_n <- t.shed_n + 1;
+        if t.pending = 0 then Condition.broadcast t.idle);
     Metrics.incr "serve.shed";
     emit t (Protocol.response_overloaded ~id:frame.Protocol.id ~depth) ~latency_s:0.0;
     false
   end
 
-let submit_line t line =
-  match Protocol.decode line with
+(* answer a decode error at once, or submit the frame *)
+let accept t = function
   | Error e ->
     Metrics.incr "serve.invalid";
     emit t (Protocol.response_invalid e) ~latency_s:0.0;
@@ -507,12 +482,13 @@ let submit_line t line =
     else if frame.Protocol.request = Protocol.Shutdown then `Shutdown
     else `Submitted
 
+let submit_line t line = accept t (Protocol.decode line)
+
 let drain t =
-  Mutex.lock t.state_mu;
-  while t.pending > 0 do
-    Condition.wait t.idle t.state_mu
-  done;
-  Mutex.unlock t.state_mu
+  Mutex.protect t.state_mu (fun () ->
+      while t.pending > 0 do
+        Condition.wait t.idle t.state_mu
+      done)
 
 let shutdown t =
   drain t;
@@ -521,29 +497,10 @@ let shutdown t =
   t.domains <- [];
   List.iter Domain.join ds
 
-let served t =
-  Mutex.lock t.state_mu;
-  let n = t.served_n in
-  Mutex.unlock t.state_mu;
-  n
-
-let shed t =
-  Mutex.lock t.state_mu;
-  let n = t.shed_n in
-  Mutex.unlock t.state_mu;
-  n
-
-let alive t =
-  Mutex.lock t.state_mu;
-  let n = t.alive_n in
-  Mutex.unlock t.state_mu;
-  n
-
-let restarts t =
-  Mutex.lock t.state_mu;
-  let n = t.restarts_n in
-  Mutex.unlock t.state_mu;
-  n
+let served t = Mutex.protect t.state_mu (fun () -> t.served_n)
+let shed t = Mutex.protect t.state_mu (fun () -> t.shed_n)
+let alive t = Mutex.protect t.state_mu (fun () -> t.alive_n)
+let restarts t = Mutex.protect t.state_mu (fun () -> t.restarts_n)
 
 let queue_length t = Bqueue.length t.queue
 
@@ -556,59 +513,55 @@ let is_blank line = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') li
 
 let never_stop () = false
 
-let serve_fds_once ~stop config reader writer =
-  let served = ref 0 in
-  let stats ~id =
-    stats_line ~id ~workers:0 ~queue_depth:0 ~queue_length:0 ~pending:0 ~served:!served
-      ~shed:0 config.cache
-  in
-  let write line = ignore (Lineio.write_line writer line) in
+(* an over-long line is answered as a parse error at the cap *)
+let too_long = Protocol.Malformed { Iced_util.Json.at = Lineio.max_line; reason = "line too long" }
+
+(* The transports' one read loop: [serve] answers or queues each decoded
+   line and says whether it was a shutdown to stop at. *)
+let read_frames ~stop reader serve =
   let rec loop () =
     match Lineio.read_line ~stop reader with
     | `Eof -> Eof
     | `Stopped -> Stopped
     | `Line line when is_blank line -> loop ()
-    | `Line line -> (
-      match Protocol.decode line with
-      | Error e ->
-        write (Protocol.response_invalid e);
-        incr served;
-        loop ()
-      | Ok frame ->
-        let deadline_at =
-          match (frame.Protocol.deadline_ms, config.default_deadline_ms) with
-          | None, Some ms -> Some (Clock.now () +. (float_of_int ms /. 1000.0))
-          | _ -> None  (* an explicit deadline_ms is derived inside [handle] *)
-        in
-        write (handle ?deadline_at ~cache:config.cache ~stats frame);
-        incr served;
-        if frame.Protocol.request = Protocol.Shutdown then Requested else loop ())
+    | `Line line -> if serve (Protocol.decode line) then Requested else loop ()
+    | `Too_long -> if serve (Error too_long) then Requested else loop ()
   in
   loop ()
-
-let serve_fds_pool ~stop config reader writer =
-  let t =
-    create config ~respond:(fun line ~latency_s:_ ->
-        ignore (Lineio.write_line writer line))
-  in
-  let rec loop () =
-    match Lineio.read_line ~stop reader with
-    | `Eof -> Eof
-    | `Stopped -> Stopped
-    | `Line line when is_blank line -> loop ()
-    | `Line line -> ( match submit_line t line with `Shutdown -> Requested | _ -> loop ())
-  in
-  let reason = loop () in
-  (* even when stopped by a signal: drain accepted work, then stop —
-     nothing already admitted is dropped or failed *)
-  shutdown t;
-  reason
 
 let serve_fds ?(once = false) ?(stop = never_stop) config infd outfd =
   let reader = Lineio.reader infd in
   let writer = Lineio.writer outfd in
-  if once then serve_fds_once ~stop config reader writer
-  else serve_fds_pool ~stop config reader writer
+  let write line = ignore (Lineio.write_line writer line) in
+  if once then begin
+    let served = ref 0 in
+    let stats ~id =
+      stats_line ~id ~workers:0 ~queue_depth:0 ~queue_length:0 ~pending:0 ~served:!served
+        ~shed:0 config.cache
+    in
+    read_frames ~stop reader (fun decoded ->
+        let reply, shutdown =
+          match decoded with
+          | Error e -> (Protocol.response_invalid e, false)
+          | Ok frame ->
+            let deadline_at =
+              deadline ?default_ms:config.default_deadline_ms ~now:(Clock.now ()) frame
+            in
+            ( handle ?deadline_at ~cache:config.cache ~stats frame,
+              frame.Protocol.request = Protocol.Shutdown )
+        in
+        write reply;
+        incr served;
+        shutdown)
+  end
+  else begin
+    let t = create config ~respond:(fun line ~latency_s:_ -> write line) in
+    let reason = read_frames ~stop reader (fun decoded -> accept t decoded = `Shutdown) in
+    (* even when stopped by a signal: drain accepted work, then stop —
+       nothing already admitted is dropped or failed *)
+    shutdown t;
+    reason
+  end
 
 let serve_channels ?(once = false) ?stop config ic oc =
   (* the fd transport bypasses channel buffering; flush anything a
@@ -622,12 +575,11 @@ let unlink_guards : (string, unit) Hashtbl.t = Hashtbl.create 4
 let unlink_guards_mu = Mutex.create ()
 
 let guard_unlink path =
-  Mutex.lock unlink_guards_mu;
-  if not (Hashtbl.mem unlink_guards path) then begin
-    Hashtbl.replace unlink_guards path ();
-    at_exit (fun () -> try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  end;
-  Mutex.unlock unlink_guards_mu
+  Mutex.protect unlink_guards_mu (fun () ->
+      if not (Hashtbl.mem unlink_guards path) then begin
+        Hashtbl.replace unlink_guards path ();
+        at_exit (fun () -> try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+      end)
 
 let serve_socket ?once ?(stop = never_stop) config path =
   (* a client vanishing mid-reply must not kill the daemon with an

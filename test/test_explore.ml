@@ -425,6 +425,26 @@ let test_sweep_timeout_skips () =
   | [ { Outcome.per_kernel = [ (_, Outcome.Timed_out) ]; _ } ] -> ()
   | _ -> Alcotest.fail "expected a single timed-out pair"
 
+let test_evaluate_below_mii_fails () =
+  (* an II cap below the kernel's MII fails in the mapper; a hook that
+     never fires leaves that failure [Failed], with the mapper's message *)
+  let k = List.hd tiny_kernels in
+  let _, _, rec_mii = Iced_kernels.Kernel.stats k.Iced_kernels.Kernel.dfg in
+  let p = { (List.hd (points3 ())) with Space.max_ii = rec_mii - 1 } in
+  let params = Iced_power.Params.default in
+  let mapper_msg =
+    match
+      Iced.Design.evaluate ~cgra:(Space.cgra p) ~params ~label_floor:p.Space.floor
+        ~max_ii:p.Space.max_ii Iced.Design.Iced k
+    with
+    | Error msg -> msg
+    | Ok _ -> Alcotest.fail "mapped below its MII"
+  in
+  match Outcome.evaluate_kernel ~cancel:(fun () -> false) ~params p k with
+  | Outcome.Failed msg -> Alcotest.(check string) "the mapper's message" mapper_msg msg
+  | Outcome.Timed_out -> Alcotest.fail "a hook that never fired timed out"
+  | Outcome.Mapped _ -> Alcotest.fail "mapped below its MII"
+
 let suite =
   [
     ("space: enumeration is valid", `Quick, test_space_enumerate_valid);
@@ -449,5 +469,6 @@ let suite =
     ("sweep: 2 workers = serial, byte-identical", `Slow, test_sweep_parallel_matches_serial);
     ("sweep: smoke over a tiny space", `Quick, test_sweep_smoke_results);
     ("sweep: per-point timeout skips", `Quick, test_sweep_timeout_skips);
+    ("evaluate: below the MII fails, not times out", `Quick, test_evaluate_below_mii_fails);
     ("sweep: mapper telemetry accumulates", `Quick, test_sweep_mapper_stats);
   ]
