@@ -111,7 +111,7 @@ let dims_of_string s =
   match String.split_on_char 'x' s with
   | [ a; b ] -> (
     let side x = x > 0 && x <= max_side in
-    match (int_of_string_opt a, int_of_string_opt b) with
+    match (Iced_util.Nat.of_string a, Iced_util.Nat.of_string b) with
     | Some r, Some c when side r && side c -> Some (r, c)
     | _ -> None)
   | _ -> None
@@ -131,7 +131,7 @@ let of_string s =
       then Some (String.sub str (String.length tag) (String.length str - String.length tag))
       else None
     in
-    let tagged_int tag str = Option.bind (untag tag str) int_of_string_opt in
+    let tagged_int tag str = Option.bind (untag tag str) Iced_util.Nat.of_string in
     match
       (dims_of_string fabric, Option.bind (untag "i" island) dims_of_string,
        tagged_int "b" banks, floor_of_string floor, tagged_int "u" unroll,

@@ -67,7 +67,9 @@ val to_string : point -> string
 val of_string : string -> point option
 (** Inverse of {!to_string} on valid points whose sides are at most
     {!max_side}: the fabric and island go through {!dims_of_string},
-    the floor through {!floor_of_string}. *)
+    the floor through {!floor_of_string}, and the bank, unroll and II
+    numbers through {!Iced_util.Nat.of_string}, so only the canonical
+    spelling parses. *)
 
 val pp : Format.formatter -> point -> unit
 
@@ -93,8 +95,9 @@ val dims_to_string : int * int -> string
 (** ["RxC"]. *)
 
 val dims_of_string : string -> (int * int) option
-(** Inverse of {!dims_to_string} for [1 <= R, C <= max_side]; [None]
-    on anything else. *)
+(** Inverse of {!dims_to_string} for [1 <= R, C <= max_side], each side
+    a canonical decimal ({!Iced_util.Nat.of_string}); [None] on
+    anything else, ["+4x4"] or ["06x6"] included. *)
 
 val default_islands : (int * int) list -> (int * int) list
 (** Every island shape that tiles one of the fabrics

@@ -57,16 +57,12 @@ let of_string s =
   | "pathfinder" -> Ok pathfinder
   | "sa" -> Ok sa
   | _ -> (
+    (* a canonical seed, so to_string stays the exact inverse (no
+       "-1", "0x2a", "007" or "1_000" aliases) *)
     let seeded prefix =
       let n = String.length prefix in
-      if String.length s > n && String.sub s 0 n = prefix then begin
-        (* strict non-negative decimal, so to_string stays the exact
-           inverse (no "-1", "0x2a", or "1_000" aliases) *)
-        let digits = String.sub s n (String.length s - n) in
-        if String.for_all (fun c -> c >= '0' && c <= '9') digits then
-          int_of_string_opt digits
-        else None
-      end
+      if String.length s > n && String.sub s 0 n = prefix then
+        Iced_util.Nat.of_string (String.sub s n (String.length s - n))
       else None
     in
     match seeded "sa:" with

@@ -313,7 +313,16 @@ let test_campaign_validates_spec () =
   Alcotest.(check bool) "no seeds rejected" true
     (bad { Campaign.default_spec with Campaign.seeds = [] });
   Alcotest.(check bool) "no kinds rejected" true
-    (bad { Campaign.default_spec with Campaign.kinds = [] })
+    (bad { Campaign.default_spec with Campaign.kinds = [] });
+  (* the admission rule's bounds, one past each *)
+  Alcotest.(check bool) "too many seeds rejected" true
+    (bad { Campaign.default_spec with Campaign.seeds = List.init (Campaign.max_seeds + 1) Fun.id });
+  Alcotest.(check bool) "one input rejected" true
+    (bad { Campaign.default_spec with Campaign.inputs = 1 });
+  Alcotest.(check bool) "too many inputs rejected" true
+    (bad { Campaign.default_spec with Campaign.inputs = Campaign.max_inputs + 1 });
+  Alcotest.(check bool) "window 0 rejected" true
+    (bad { Campaign.default_spec with Campaign.window = 0 })
 
 let suite =
   [
