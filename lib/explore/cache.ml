@@ -29,16 +29,6 @@ type t = {
 
 let version = 2
 
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-    Mutex.unlock t.mu;
-    v
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e
-
 (* ------------------------------------------------------------------ *)
 (* keys                                                                *)
 
@@ -260,7 +250,7 @@ let open_file ?(fsync = false) path =
   make ?recovery:!recovery ~fsync ~file:(Some file) ~path:(Some path) table
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       match t.file with
       | Some oc ->
         flush oc;
@@ -269,7 +259,7 @@ let close t =
       | None -> ())
 
 let find t key =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some r ->
         t.hits <- t.hits + 1;
@@ -291,7 +281,7 @@ let store_locked t ~key status =
       if t.fsync then sync oc
     | None -> ())
 
-let store t ~key status = locked t (fun () -> store_locked t ~key status)
+let store t ~key status = Mutex.protect t.mu (fun () -> store_locked t ~key status)
 
 let find_or_store t ~key evaluate =
   Mutex.lock t.mu;
@@ -334,9 +324,9 @@ let find_or_store t ~key evaluate =
   in
   resolve ()
 
-let size t = locked t (fun () -> Hashtbl.length t.table)
-let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)
-let coalesced t = locked t (fun () -> t.coalesced)
+let size t = Mutex.protect t.mu (fun () -> Hashtbl.length t.table)
+let hits t = Mutex.protect t.mu (fun () -> t.hits)
+let misses t = Mutex.protect t.mu (fun () -> t.misses)
+let coalesced t = Mutex.protect t.mu (fun () -> t.coalesced)
 let path t = t.path
 let recovery t = t.recovery

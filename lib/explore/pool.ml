@@ -5,9 +5,7 @@ let map ~workers ?on_item f items =
     | None -> fun _ -> ()
     | Some g ->
       let mutex = Mutex.create () in
-      fun i ->
-        Mutex.lock mutex;
-        Fun.protect ~finally:(fun () -> Mutex.unlock mutex) (fun () -> g i)
+      fun i -> Mutex.protect mutex (fun () -> g i)
   in
   if workers <= 1 || n <= 1 then
     Array.mapi

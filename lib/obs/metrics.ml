@@ -19,30 +19,20 @@ let counters : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, float ref) Hashtbl.t = Hashtbl.create 32
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 32
 
-let locked f =
-  Mutex.lock mu;
-  match f () with
-  | v ->
-    Mutex.unlock mu;
-    v
-  | exception e ->
-    Mutex.unlock mu;
-    raise e
-
 let reset () =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       Hashtbl.reset counters;
       Hashtbl.reset gauges;
       Hashtbl.reset histograms)
 
 let incr ?(by = 1) name =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       match Hashtbl.find_opt counters name with
       | Some c -> c := !c + by
       | None -> Hashtbl.replace counters name (ref by))
 
 let gauge name v =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       match Hashtbl.find_opt gauges name with
       | Some g -> g := v
       | None -> Hashtbl.replace gauges name (ref v))
@@ -55,7 +45,7 @@ let bucket_of v =
     e - min_exp
 
 let observe name v =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       let h =
         match Hashtbl.find_opt histograms name with
         | Some h -> h
@@ -80,7 +70,7 @@ let observe name v =
       if v > h.max_v then h.max_v <- v)
 
 let histogram_names ?(prefix = "") () =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       Hashtbl.fold
         (fun k _ acc ->
           if String.starts_with ~prefix k then k :: acc else acc)
@@ -88,19 +78,19 @@ let histogram_names ?(prefix = "") () =
       |> List.sort compare)
 
 let counter_value name =
-  locked (fun () -> Option.map (fun c -> !c) (Hashtbl.find_opt counters name))
+  Mutex.protect mu (fun () -> Option.map (fun c -> !c) (Hashtbl.find_opt counters name))
 
 let gauge_value name =
-  locked (fun () -> Option.map (fun g -> !g) (Hashtbl.find_opt gauges name))
+  Mutex.protect mu (fun () -> Option.map (fun g -> !g) (Hashtbl.find_opt gauges name))
 
 let histogram_stats name =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       Option.map
         (fun h -> (h.count, h.sum, h.min_v, h.max_v))
         (Hashtbl.find_opt histograms name))
 
 let quantile name q =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       match Hashtbl.find_opt histograms name with
       | None -> None
       | Some h when h.count = 0 -> None
@@ -141,7 +131,7 @@ let histogram_json h =
       ("max", Json.Num h.max_v); ("buckets", Json.Obj buckets) ]
 
 let to_json () =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       let members render tbl =
         Json.Obj (List.map (fun (k, v) -> (k, render v)) (sorted_bindings tbl))
       in
@@ -157,7 +147,7 @@ let csv_escape s =
   else s
 
 let to_csv () =
-  locked (fun () ->
+  Mutex.protect mu (fun () ->
       let b = Buffer.create 256 in
       Buffer.add_string b "kind,name,field,value\n";
       List.iter

@@ -80,10 +80,9 @@ let my_buffer () =
   in
   if not b.registered then begin
     reset_buffer b;
-    Mutex.lock registry_mu;
-    registry := b :: !registry;
-    b.registered <- true;
-    Mutex.unlock registry_mu
+    Mutex.protect registry_mu (fun () ->
+        registry := b :: !registry;
+        b.registered <- true)
   end;
   b
 
@@ -103,14 +102,13 @@ let push b phase ~cat ~name args =
 (* control                                                             *)
 
 let clear () =
-  Mutex.lock registry_mu;
-  List.iter
-    (fun b ->
-      reset_buffer b;
-      b.registered <- false)
-    !registry;
-  registry := [];
-  Mutex.unlock registry_mu
+  Mutex.protect registry_mu (fun () ->
+      List.iter
+        (fun b ->
+          reset_buffer b;
+          b.registered <- false)
+        !registry;
+      registry := [])
 
 let start () =
   clear ();
@@ -124,12 +122,8 @@ let set_capacity n =
   Atomic.set default_capacity n
 
 let dropped () =
-  Mutex.lock registry_mu;
-  let n =
-    List.fold_left (fun acc b -> acc + max 0 (b.pushed - b.capacity)) 0 !registry
-  in
-  Mutex.unlock registry_mu;
-  n
+  Mutex.protect registry_mu (fun () ->
+      List.fold_left (fun acc b -> acc + max 0 (b.pushed - b.capacity)) 0 !registry)
 
 (* ------------------------------------------------------------------ *)
 (* recording                                                           *)
@@ -217,8 +211,6 @@ let buffer_events b =
       })
 
 let events () =
-  Mutex.lock registry_mu;
-  let buffers = !registry in
-  Mutex.unlock registry_mu;
-  List.concat_map buffer_events buffers
+  Mutex.protect registry_mu (fun () -> !registry)
+  |> List.concat_map buffer_events
   |> List.sort (fun a b -> compare (a.ts_us, a.tid, a.seq) (b.ts_us, b.tid, b.seq))

@@ -16,18 +16,8 @@ let create ~capacity =
     closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-    Mutex.unlock t.mu;
-    v
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e
-
 let try_push t x =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       if t.closed || Queue.length t.items >= t.capacity then false
       else begin
         Queue.push x t.items;
@@ -36,17 +26,15 @@ let try_push t x =
       end)
 
 let pop t =
-  Mutex.lock t.mu;
-  while Queue.is_empty t.items && not t.closed do
-    Condition.wait t.nonempty t.mu
-  done;
-  let item = if Queue.is_empty t.items then None else Some (Queue.pop t.items) in
-  Mutex.unlock t.mu;
-  item
+  Mutex.protect t.mu (fun () ->
+      while Queue.is_empty t.items && not t.closed do
+        Condition.wait t.nonempty t.mu
+      done;
+      Queue.take_opt t.items)
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.mu (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
 
-let length t = locked t (fun () -> Queue.length t.items)
+let length t = Mutex.protect t.mu (fun () -> Queue.length t.items)

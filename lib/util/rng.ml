@@ -42,12 +42,3 @@ let shuffle t items =
     arr.(j) <- tmp
   done;
   Array.to_list arr
-
-let geometric t p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p out of (0,1]";
-  let rec draw failures =
-    if failures > 10_000 then failures
-    else if float t 1.0 < p then failures
-    else draw (failures + 1)
-  in
-  draw 0

@@ -35,8 +35,3 @@ val choose : t -> 'a list -> 'a
 
 val shuffle : t -> 'a list -> 'a list
 (** Fisher-Yates shuffle. *)
-
-val geometric : t -> float -> int
-(** [geometric t p] draws from a geometric distribution with success
-    probability [p] (number of failures before first success).  Used to
-    synthesize heavy-ish-tailed graph degree distributions. *)
