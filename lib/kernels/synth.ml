@@ -21,18 +21,13 @@ let parse_name s =
   else
     match String.index_from_opt s plen 'x' with
     | None -> None
-    | Some i when i = plen || i = String.length s - 1 -> None
     | Some i -> (
-      let digits part =
-        part <> "" && String.for_all (fun c -> c >= '0' && c <= '9') part
-      in
-      let n_part = String.sub s plen (i - plen) in
-      let s_part = String.sub s (i + 1) (String.length s - i - 1) in
-      if not (digits n_part && digits s_part) then None
-      else
-        match (int_of_string_opt n_part, int_of_string_opt s_part) with
-        | Some nodes, Some seed when nodes >= min_nodes -> Some (nodes, seed)
-        | _ -> None)
+      match
+        ( Iced_util.Nat.of_string (String.sub s plen (i - plen)),
+          Iced_util.Nat.of_string (String.sub s (i + 1) (String.length s - i - 1)) )
+      with
+      | Some nodes, Some seed when nodes >= min_nodes -> Some (nodes, seed)
+      | _ -> None)
 
 let ops = [ Op.Add; Op.Sub; Op.Mul; Op.And; Op.Or; Op.Xor; Op.Shl; Op.Shr ]
 

@@ -16,8 +16,9 @@ val name : nodes:int -> seed:int -> string
 (** ["rand<nodes>x<seed>"]. *)
 
 val parse_name : string -> (int * int) option
-(** Inverse of {!name}; [None] for anything else (including budgets
-    below {!min_nodes}). *)
+(** Inverse of {!name}, each number canonical
+    ({!Iced_util.Nat.of_string}); [None] for anything else (including
+    budgets below {!min_nodes}). *)
 
 val dfg : nodes:int -> seed:int -> Iced_dfg.Graph.t
 (** The generated loop body; validates by construction.

@@ -84,8 +84,9 @@ val handle :
     and the byte-identity oracle for the pool.  [stats]/[health]
     render those replies (the daemon injects live pool counters; a
     one-shot context reports a static snapshot).  [deadline_at] is the
-    absolute expiry on the {!Iced_obs.Clock.now} clock; when absent, it is
-    derived from the frame's own [deadline_ms] at call time.
+    absolute expiry on the {!Iced_obs.Clock.now} clock, which the
+    transports derive when they accept the frame; when absent, the same
+    rule derives it from the frame's own [deadline_ms] at call time.
     [catch_kill] (default [true]) also converts {!Worker_kill} into an
     [internal_error] reply; the pool passes [false] so the kill
     reaches its supervisor instead. *)
@@ -156,9 +157,11 @@ val serve_fds :
     first until EOF, a [shutdown] frame, or [stop ()]; write response
     lines to the second; then drain and stop the pool.  Blank lines
     are ignored; a torn final line (no terminator) is discarded.
-    [once] skips the pool entirely and evaluates serially in arrival
-    order on the calling domain — same bytes, deterministic
-    interleaving. *)
+    A line longer than {!Lineio.max_line} is answered [invalid] and
+    the next one is read.  Both modes share one read loop and start a
+    frame's deadline when they read it.  [once] skips the pool entirely and evaluates serially
+    in arrival order on the calling domain — same bytes,
+    deterministic interleaving. *)
 
 val serve_channels :
   ?once:bool -> ?stop:(unit -> bool) -> config -> in_channel -> out_channel -> stop_reason
