@@ -1468,7 +1468,7 @@ let tenancy_bench () =
     let partition = List.assoc p.Scheduler.islands p.Scheduler.partitions in
     let tenant = p.Scheduler.tenant in
     let shared =
-      Runner.run_shared ~trace:false ~fabric:plan.Scheduler.spec.Scheduler.fabric
+      Runner.run_shared ~trace:false ~fabric:Scheduler.fabric
         [ { Runner.tenant = tenant.Tenant.id; partition; stream = tenant.Tenant.inputs } ]
     in
     let solo = Runner.run ~trace:false partition Runner.Iced_dvfs tenant.Tenant.inputs in

@@ -588,7 +588,6 @@ let explore_term =
       {
         Explore.Sweep.workers;
         timeout_s = Option.value timeout ~default:infinity;
-        params = Iced_power.Params.default;
         backend;
         (* a \r-progress line only makes sense on a terminal *)
         progress = (not quiet) && Unix.isatty Unix.stderr;
@@ -668,7 +667,10 @@ let fault_term =
   in
   let faults_arg =
     Arg.(value & opt (campaign_count Campaign.Faults) 2
-         & info [ "faults" ] ~docv:"N" ~doc:"Fault events injected per run.")
+         & info [ "faults" ] ~docv:"N"
+             ~doc:
+               (Printf.sprintf "Fault events injected per run (0 <= N <= %d)."
+                  Campaign.max_faults))
   in
   let rate_arg =
     Arg.(value & opt probability 1e-3
@@ -904,7 +906,7 @@ let tenancy_json_arg =
 
 let tenancy_plan ~tenants ~inputs ~seed ~faults ~fault_seed =
   let fleet = Tenancy.Tenant.synthetic_mix ~inputs ~seed ~count:tenants () in
-  let spec = { Tenancy.Scheduler.default_spec with faults; fault_seed } in
+  let spec = { Tenancy.Scheduler.faults; fault_seed } in
   match Tenancy.Scheduler.plan ~spec fleet with
   | Ok plan -> plan
   | Error msg ->

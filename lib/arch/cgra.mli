@@ -50,8 +50,6 @@ val position : t -> int -> int * int
 (** (row, col) of a tile id.  @raise Invalid_argument when out of
     bounds. *)
 
-val in_bounds : t -> row:int -> col:int -> bool
-
 val neighbor : t -> int -> Dir.t -> int option
 (** Mesh neighbour in a direction, or [None] at the fabric edge. *)
 

@@ -47,7 +47,7 @@ let assign_levels point mapping =
 
 module Trace = Iced_obs.Trace
 
-let evaluate_body ~cgra ~params ~unroll ~label_floor ~max_ii ~cancel ~backend ?stats
+let evaluate_body ~cgra ~unroll ~label_floor ~max_ii ~cancel ~backend ?stats
     point kernel =
   let fabric = fabric_of cgra point in
   let dfg = Iced_kernels.Kernel.dfg_at kernel ~factor:unroll in
@@ -67,7 +67,7 @@ let evaluate_body ~cgra ~params ~unroll ~label_floor ~max_ii ~cancel ~backend ?s
     | Ok () ->
       let tiles = Metrics.tile_states mapping in
       let power_mw =
-        Model.total_power_mw params (model_design point) fabric ~tiles
+        Model.total_power_mw Iced_power.Params.default (model_design point) fabric ~tiles
           ~sram_activity:(Metrics.sram_activity mapping)
       in
       Ok
@@ -83,11 +83,11 @@ let evaluate_body ~cgra ~params ~unroll ~label_floor ~max_ii ~cancel ~backend ?s
           speedup_vs_cpu = Metrics.speedup_vs_cpu mapping;
         })
 
-let evaluate ?(cgra = Cgra.iced_6x6) ?(params = Iced_power.Params.default) ?(unroll = 1)
-    ?(label_floor = Dvfs.Rest) ?(max_ii = 64) ?(cancel = fun () -> false)
-    ?(backend = Backend.default) ?stats ?(trace = true) point kernel =
+let evaluate ?(cgra = Cgra.iced_6x6) ?(unroll = 1) ?(label_floor = Dvfs.Rest)
+    ?(max_ii = 64) ?(cancel = fun () -> false) ?(backend = Backend.default) ?stats
+    ?(trace = true) point kernel =
   let body () =
-    evaluate_body ~cgra ~params ~unroll ~label_floor ~max_ii ~cancel ~backend ?stats
+    evaluate_body ~cgra ~unroll ~label_floor ~max_ii ~cancel ~backend ?stats
       point kernel
   in
   if not trace then Trace.suppress body
@@ -104,16 +104,16 @@ let evaluate ?(cgra = Cgra.iced_6x6) ?(params = Iced_power.Params.default) ?(unr
         | Error msg -> [ ("error", Trace.Str msg) ])
       ~cat:"design" ~name:"evaluate" body
 
-let evaluate_exn ?cgra ?params ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats
-    ?trace point kernel =
+let evaluate_exn ?cgra ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats ?trace
+    point kernel =
   match
-    evaluate ?cgra ?params ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats ?trace
-      point kernel
+    evaluate ?cgra ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats ?trace point kernel
   with
   | Ok e -> e
   | Error msg -> failwith ("Design.evaluate: " ^ msg)
 
-let functional_check ?(iterations = 25) (kernel : Iced_kernels.Kernel.t) mapping =
+let functional_check (kernel : Iced_kernels.Kernel.t) mapping =
+  let iterations = 25 in
   let result = Iced_sim.Sim.run ~binding:kernel.binding mapping ~iterations in
   let golden =
     Iced_sim.Sim.interpret ~binding:kernel.binding mapping.Mapping.dfg ~iterations

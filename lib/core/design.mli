@@ -36,7 +36,6 @@ type evaluation = {
 
 val evaluate :
   ?cgra:Cgra.t ->
-  ?params:Iced_power.Params.t ->
   ?unroll:int ->
   ?label_floor:Dvfs.level ->
   ?max_ii:int ->
@@ -69,7 +68,6 @@ val evaluate :
 
 val evaluate_exn :
   ?cgra:Cgra.t ->
-  ?params:Iced_power.Params.t ->
   ?unroll:int ->
   ?label_floor:Dvfs.level ->
   ?max_ii:int ->
@@ -83,8 +81,7 @@ val evaluate_exn :
 (** Same as {!evaluate} but raising on failure.
     @raise Failure when mapping fails. *)
 
-val functional_check :
-  ?iterations:int -> Iced_kernels.Kernel.t -> Mapping.t -> (unit, string) result
+val functional_check : Iced_kernels.Kernel.t -> Mapping.t -> (unit, string) result
 (** Run the mapped schedule and the golden DFG interpreter on the
-    kernel's data binding and compare store traces ([iterations]
-    defaults to 25). *)
+    kernel's data binding for 25 iterations and compare store
+    traces. *)

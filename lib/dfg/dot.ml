@@ -1,7 +1,7 @@
-let to_string ?(name = "dfg") g =
+let to_string g =
   let buf = Buffer.create 1024 in
   let critical = Analysis.critical_nodes g in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
+  Buffer.add_string buf "digraph dfg {\n";
   Buffer.add_string buf "  node [shape=box, fontname=\"monospace\"];\n";
   List.iter
     (fun (n : Graph.node) ->

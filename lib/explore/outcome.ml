@@ -28,8 +28,8 @@ type summary = {
   mean_power_mw : float;
 }
 
-let measure ~params (e : Design.evaluation) =
-  let f_mhz = params.Iced_power.Params.f_normal_mhz in
+let measure (e : Design.evaluation) =
+  let f_mhz = Iced_power.Params.default.f_normal_mhz in
   (* normalize per *source* loop iteration so unroll factors compare
      fairly: one mapped iteration of an unroll-u kernel covers u
      source iterations *)
@@ -47,7 +47,7 @@ let measure ~params (e : Design.evaluation) =
   }
 
 let evaluate_kernel ?(cancel = fun () -> false) ?(backend = Iced_mapper.Backend.default)
-    ?stats ~params (p : Space.point) kernel =
+    ?stats (p : Space.point) kernel =
   (* a timeout is what the caller's own hook says it is, whatever the
      mapper's message reads *)
   let cancelled = ref false in
@@ -56,11 +56,11 @@ let evaluate_kernel ?(cancel = fun () -> false) ?(backend = Iced_mapper.Backend.
     !cancelled
   in
   match
-    Design.evaluate ~cgra:(Space.cgra p) ~params ~unroll:p.Space.unroll
+    Design.evaluate ~cgra:(Space.cgra p) ~unroll:p.Space.unroll
       ~label_floor:p.Space.floor ~max_ii:p.Space.max_ii ~cancel ~backend ?stats
       Design.Iced kernel
   with
-  | Ok e -> Mapped (measure ~params e)
+  | Ok e -> Mapped (measure e)
   | Error msg -> if !cancelled then Timed_out else Failed msg
   | exception Invalid_argument msg -> Failed msg
 

@@ -41,15 +41,14 @@ type summary = {
   mean_power_mw : float;
 }
 
-val measure :
-  params:Iced_power.Params.t -> Iced.Design.evaluation -> measurement
+val measure : Iced.Design.evaluation -> measurement
 (** Derive the objective metrics from a design-point evaluation. *)
 
 val evaluate_kernel :
   ?cancel:(unit -> bool) ->
   ?backend:Iced_mapper.Backend.t ->
   ?stats:Iced_mapper.Mapper.stats ->
-  params:Iced_power.Params.t -> Space.point -> Iced_kernels.Kernel.t -> status
+  Space.point -> Iced_kernels.Kernel.t -> status
 (** Map one kernel on one point ([Iced.Design.Iced] flow on the
     point's fabric, floor, and II cap) and measure it.  [cancel] is the
     caller's timeout hook: an evaluation that fails after it returned

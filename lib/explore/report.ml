@@ -15,9 +15,9 @@ let frontier_summaries outcomes =
         (-.b.geo_throughput_mips, b.mean_energy_nj, Space.to_string b.point))
     frontier
 
-let frontier_table ?(title = "Pareto frontier over (throughput, energy, EDP)") outcomes =
+let frontier_table outcomes =
   let t =
-    Table.create ~title
+    Table.create ~title:"Pareto frontier over (throughput, energy, EDP)"
       ~columns:
         [ "point"; "mapped"; "geo thpt Mi/s"; "mean energy nJ"; "mean EDP nJ*us";
           "mean power mW" ]
@@ -32,9 +32,9 @@ let frontier_table ?(title = "Pareto frontier over (throughput, energy, EDP)") o
     (frontier_summaries outcomes);
   t
 
-let best_per_kernel_table ?(title = "best point per kernel (minimum EDP)") outcomes =
+let best_per_kernel_table outcomes =
   let t =
-    Table.create ~title
+    Table.create ~title:"best point per kernel (minimum EDP)"
       ~columns:[ "kernel"; "point"; "II"; "thpt Mi/s"; "energy nJ"; "EDP nJ*us" ]
   in
   let kernel_names =

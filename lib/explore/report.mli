@@ -11,10 +11,7 @@ val frontier_summaries : Outcome.point_result list -> Outcome.summary list
     descending geomean throughput, then ascending energy, then
     canonical point id. *)
 
-val frontier_table : ?title:string -> Outcome.point_result list -> Iced_util.Table.t
-
-val best_per_kernel_table :
-  ?title:string -> Outcome.point_result list -> Iced_util.Table.t
+val best_per_kernel_table : Outcome.point_result list -> Iced_util.Table.t
 (** For every kernel, the point minimizing EDP (ties: first in sweep
     order), with its II / throughput / energy. *)
 

@@ -37,11 +37,6 @@ val default_spec : spec
 (** The paper's neighbourhood: 6x6 fabric, every island shape tiling
     it, 8 banks, all three floors, unroll 1, II cap 64. *)
 
-val tiling_islands : int -> int -> (int * int) list
-(** [tiling_islands rows cols]: every island shape that tiles a
-    [rows] x [cols] fabric exactly — from 1x1 per-tile DVFS to the
-    whole-fabric single island — in lexicographic order. *)
-
 val is_valid : point -> bool
 (** Island dims must be positive and tile the fabric exactly (divide
     both dimensions), [spm_banks >= 1], [unroll] 1 or 2, [max_ii >= 1],
@@ -100,6 +95,6 @@ val dims_of_string : string -> (int * int) option
     anything else, ["+4x4"] or ["06x6"] included. *)
 
 val default_islands : (int * int) list -> (int * int) list
-(** Every island shape that tiles one of the fabrics
-    ({!tiling_islands}), sorted, without duplicates: what a sweep covers
-    when it names no islands. *)
+(** Every island shape that tiles one of the fabrics exactly (from 1x1
+    per-tile DVFS to the whole-fabric single island), sorted, without
+    duplicates: what a sweep covers when it names no islands. *)

@@ -1,7 +1,6 @@
 type config = {
   workers : int;
   timeout_s : float;
-  params : Iced_power.Params.t;
   backend : Iced_mapper.Backend.t;
   progress : bool;
 }
@@ -10,7 +9,6 @@ let default_config =
   {
     workers = 1;
     timeout_s = infinity;
-    params = Iced_power.Params.default;
     backend = Iced_mapper.Backend.default;
     progress = false;
   }
@@ -84,8 +82,8 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
     let body () =
       let started = Clock.now () in
       let cancel () = Clock.now () -. started > config.timeout_s in
-      Outcome.evaluate_kernel ~cancel ~backend:config.backend ~stats:job_stats.(i)
-        ~params:config.params point kernel
+      Outcome.evaluate_kernel ~cancel ~backend:config.backend ~stats:job_stats.(i) point
+        kernel
     in
     if not trace then Obs.suppress body
     else

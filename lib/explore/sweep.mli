@@ -15,7 +15,6 @@
 type config = {
   workers : int;  (** evaluation domains; 1 = serial *)
   timeout_s : float;  (** per-(point, kernel) budget; [infinity] = none *)
-  params : Iced_power.Params.t;
   backend : Iced_mapper.Backend.t;
       (** placement/routing backend for every evaluation; part of the
           cache key, so different backends never share entries *)
@@ -23,8 +22,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 worker, no timeout, default power params, default backend, no
-    progress. *)
+(** 1 worker, no timeout, default backend, no progress. *)
 
 type stats = {
   points : int;

@@ -45,6 +45,7 @@ type t = { spec : spec; baseline : Runner.totals; runs : run_result list }
 
 let max_seeds = 32
 let max_inputs = 2_000
+let max_faults = 10_000
 
 type count = Seeds | Faults | Inputs | Window
 
@@ -55,7 +56,7 @@ let count_error count n =
   let bounds =
     match count with
     | Seeds -> [ (n > 0, "> 0"); (n <= max_seeds, Printf.sprintf "<= %d" max_seeds) ]
-    | Faults -> [ (n >= 0, ">= 0") ]
+    | Faults -> [ (n >= 0, ">= 0"); (n <= max_faults, Printf.sprintf "<= %d" max_faults) ]
     | Inputs ->
       [ (n > 0, "> 0"); (n >= 2, ">= 2"); (n <= max_inputs, Printf.sprintf "<= %d" max_inputs) ]
     | Window -> [ (n > 0, "> 0") ]

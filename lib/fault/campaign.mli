@@ -35,10 +35,11 @@ val default_spec : spec
     [--seeds]/[--faults]/[--inputs]/[--window] options exit 124 by it,
     and the daemon answers a [fault] frame that breaks it [invalid].
     A campaign streams [inputs] inputs through each of [seeds] times
-    the recovery policies' cells, so the upper bounds cap its work: the
-    daemon answers a [fault] frame at both bounds (32 seeds of 2,000
-    inputs, window 1) in 2.9 s with [--once] and 5.5 s with
-    [--workers 2] on a 2-core Xeon. *)
+    the recovery policies' cells, and each cell builds a plan of
+    [faults] events up front, so the upper bounds cap its work: the
+    daemon answers a [fault] frame at every bound (32 seeds of 2,000
+    inputs, window 1, 10,000 faults) in 1.9-2.4 s with [--once] and
+    with [--workers 2], lu and gcn alike, on a 2-core Xeon. *)
 
 val max_seeds : int
 (** 32 *)
@@ -46,13 +47,17 @@ val max_seeds : int
 val max_inputs : int
 (** 2,000 *)
 
+val max_faults : int
+(** 10,000 *)
+
 type count = Seeds | Faults | Inputs | Window
     (** the length of [seeds], [faults_per_run], [inputs] and [window] *)
 
 val count_error : count -> int -> string option
 (** [None] when the rule admits [n] for [count]; else the first bound
     [n] breaks, worded ["must be > 0"], ["must be >= 0"],
-    ["must be >= 2"], ["must be <= 32"] or ["must be <= 2000"]. *)
+    ["must be >= 2"], ["must be <= 32"], ["must be <= 2000"] or
+    ["must be <= 10000"]. *)
 
 val counts_error :
   seeds:int -> faults:int -> inputs:int -> window:int -> (string * string) option
@@ -100,12 +105,8 @@ type summary = {
 
 val summary : t -> (Iced_stream.Runner.recovery * summary) list
 (** One entry per [spec.recoveries] element, in order, over that
-    policy's cells: the one aggregation behind {!summary_table} and
-    the daemon's [fault] reply. *)
-
-val summary_table : t -> Iced_util.Table.t
-(** {!summary} as a table: cells, survivors/cells, mean retention and
-    mean MTTR per recovery policy with cells. *)
+    policy's cells: the one aggregation behind {!render}'s summary
+    table and the daemon's [fault] reply. *)
 
 val csv : t -> string
 (** One row per cell, header included; byte-identical across worker

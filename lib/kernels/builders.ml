@@ -7,9 +7,9 @@ let op ?label kind ~inputs g =
   let g = List.fold_left (fun g src -> Graph.add_edge g src id) g inputs in
   (g, id)
 
-let induction ?(step = 1) ~bound g =
+let induction ~bound g =
   let g, phi = Graph.add_node ~label:"i" g Op.Phi in
-  let g, step_node = Graph.add_node ~label:"step" g (Op.Const step) in
+  let g, step_node = Graph.add_node ~label:"step" g (Op.Const 1) in
   let g, bound_node = Graph.add_node ~label:"bound" g (Op.Const bound) in
   let g, next = op ~label:"i.next" Op.Add ~inputs:[ phi; step_node ] g in
   let g, cmp = op ~label:"i.cmp" (Op.Cmp Op.Lt) ~inputs:[ next; bound_node ] g in
@@ -44,10 +44,10 @@ let chain g ~from steps =
 
 type predicated_accumulator = { phi : int; gate : int; add : int; commit : int }
 
-let predicated_accumulator ?(op_kind = Op.Add) ~pred ~input g =
+let predicated_accumulator ~pred ~input g =
   let g, phi = Graph.add_node ~label:"pacc" g Op.Phi in
   let g, gate = op ~label:"pacc.gate" Op.Select ~inputs:[ pred; phi ] g in
-  let g, add = op ~label:"pacc.step" op_kind ~inputs:[ gate; input ] g in
+  let g, add = op ~label:"pacc.step" Op.Add ~inputs:[ gate; input ] g in
   let g, commit = op ~label:"pacc.commit" Op.Select ~inputs:[ pred; add ] g in
   let g = Graph.add_edge ~distance:1 g commit phi in
   (g, { phi; gate; add; commit })

@@ -17,10 +17,9 @@ type induction = {
   bound : int;  (** Const bound *)
 }
 
-val induction : ?step:int -> bound:int -> Graph.t -> Graph.t * induction
-(** 6 nodes / 7 edges; the length-4 recurrence cycle
-    phi -> next -> cmp -> sel -> phi gives RecMII 4.  [step] defaults
-    to 1. *)
+val induction : bound:int -> Graph.t -> Graph.t * induction
+(** 6 nodes / 7 edges, stepping by 1; the length-4 recurrence cycle
+    phi -> next -> cmp -> sel -> phi gives RecMII 4. *)
 
 type accumulator = { phi : int; add : int }
 
@@ -43,14 +42,13 @@ val chain : Graph.t -> from:int -> (Op.t * int list) list -> Graph.t * int
 type predicated_accumulator = {
   phi : int;
   gate : int;  (** Select(pred, phi): value kept while predicated on *)
-  add : int;  (** gate op input *)
+  add : int;  (** gate + input *)
   commit : int;  (** Select(pred, add): predicated update *)
 }
 
 val predicated_accumulator :
-  ?op_kind:Op.t -> pred:int -> input:int -> Graph.t -> Graph.t * predicated_accumulator
+  pred:int -> input:int -> Graph.t -> Graph.t * predicated_accumulator
 (** The length-4 serial recurrence phi -> gate -> step -> commit -> phi
     (4 nodes / 7 edges) that partial predication builds for a guarded
     accumulation; marking its phi serial in the unroll spec reproduces
-    the RecMII 4 -> 7 growth of spmv/gemm.  [op_kind] defaults to
-    [Add]. *)
+    the RecMII 4 -> 7 growth of spmv/gemm. *)

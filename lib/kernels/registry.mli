@@ -15,9 +15,9 @@ val all : Kernel.t list
 
 val by_name : string -> Kernel.t option
 (** Table I kernels by name, plus the {!Synth} family: any
-    [rand<nodes>x<seed>] name (nodes >= {!Synth.min_nodes}) is
-    synthesized on demand, deterministically. *)
+    [rand<nodes>x<seed>] name ({!Synth.min_nodes} <= nodes <=
+    {!Synth.max_nodes}) is synthesized on demand, deterministically. *)
 
 val names : unit -> string list
-(** The static Table I names only (the synthetic family is unbounded
-    and never enumerated). *)
+(** The static Table I names only (the synthetic family is never
+    enumerated). *)

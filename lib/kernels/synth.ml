@@ -11,6 +11,7 @@ open Builders
 module Rng = Iced_util.Rng
 
 let min_nodes = 8
+let max_nodes = 1_000
 
 let name ~nodes ~seed = Printf.sprintf "rand%dx%d" nodes seed
 
@@ -26,7 +27,8 @@ let parse_name s =
         ( Iced_util.Nat.of_string (String.sub s plen (i - plen)),
           Iced_util.Nat.of_string (String.sub s (i + 1) (String.length s - i - 1)) )
       with
-      | Some nodes, Some seed when nodes >= min_nodes -> Some (nodes, seed)
+      | Some nodes, Some seed when nodes >= min_nodes && nodes <= max_nodes ->
+        Some (nodes, seed)
       | _ -> None)
 
 let ops = [ Op.Add; Op.Sub; Op.Mul; Op.And; Op.Or; Op.Xor; Op.Shl; Op.Shr ]

@@ -12,13 +12,20 @@
 val min_nodes : int
 (** Smallest representable budget (induction + one body op + store). *)
 
+val max_nodes : int
+(** Largest budget a name may ask for, 1,000: eight times the largest
+    synthetic kernel any test or bench maps, so that resolving a name
+    never holds a caller long.  The daemon answers a [map] frame for
+    [rand1000x1] with [deadline_ms] 500 in 0.55-0.73 s (its [timeout]
+    reply) on a 2-core Xeon. *)
+
 val name : nodes:int -> seed:int -> string
 (** ["rand<nodes>x<seed>"]. *)
 
 val parse_name : string -> (int * int) option
 (** Inverse of {!name}, each number canonical
     ({!Iced_util.Nat.of_string}); [None] for anything else (including
-    budgets below {!min_nodes}). *)
+    budgets below {!min_nodes} or above {!max_nodes}). *)
 
 val dfg : nodes:int -> seed:int -> Iced_dfg.Graph.t
 (** The generated loop body; validates by construction.

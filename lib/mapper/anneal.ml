@@ -46,14 +46,25 @@ let incident state node tile time =
     pred_cost
     (Graph.successors state.dfg node)
 
-let place_untraced (p : Backend.sa_params) state order =
+(* The annealing schedule (Mapper2.jl's [SAStruct]/[DefaultSAWarm]/
+   [DefaultSACool]): a move budget spent in batches of [batch] moves per
+   temperature step, warming and cooling as the loop below describes. *)
+let moves = 20_000
+let batch = 64
+let t_init = 64.0
+let t_min = 0.05
+let warm_target = 0.9
+let warm_mult = 1.5
+let cool = 0.92
+
+let place_untraced ~seed state order =
   (* Seed the annealer with a feasible routing-blind greedy placement:
      FU slots and memory constraints are satisfied from move zero, so
      every SA move preserves them by construction. *)
   match Greedy.place_all ~route:false state order with
   | Error _ as e -> e
   | Ok () ->
-    let rng = Rng.create p.seed in
+    let rng = Rng.create seed in
     let nodes = Array.of_list (Graph.node_ids state.dfg) in
     let eligible = Array.make (Array.length state.place_tile) [||] in
     Array.iter
@@ -125,13 +136,13 @@ let place_untraced (p : Backend.sa_params) state order =
        a batch's acceptance ratio reaches [warm_target], then cool it
        multiplicatively until it drops below [t_min] or the move budget
        runs out. *)
-    let t = ref p.t_init in
+    let t = ref t_init in
     let warming = ref true in
     let total = ref 0 in
     let stop = ref false in
-    while (not !stop) && !total < p.moves do
+    while (not !stop) && !total < moves do
       let accepted = ref 0 in
-      let batch = min p.batch (p.moves - !total) in
+      let batch = min batch (moves - !total) in
       for _ = 1 to batch do
         incr total;
         if attempt_move !t then begin
@@ -143,22 +154,22 @@ let place_untraced (p : Backend.sa_params) state order =
       stats.Telemetry.sa_temp_steps <- stats.Telemetry.sa_temp_steps + 1;
       let ratio = float_of_int !accepted /. float_of_int batch in
       if !warming then begin
-        if ratio >= p.warm_target || !t > 1e7 then warming := false
-        else t := !t *. p.warm_mult
+        if ratio >= warm_target || !t > 1e7 then warming := false
+        else t := !t *. warm_mult
       end
       else begin
-        t := !t *. p.cool;
-        if !t < p.t_min then stop := true
+        t := !t *. cool;
+        if !t < t_min then stop := true
       end
     done;
     Ok ()
 
-let place p state order =
+let place ~seed state order =
   Obs.span
-    ~args:(fun () -> [ ("seed", Obs.Int p.Backend.seed) ])
+    ~args:(fun () -> [ ("seed", Obs.Int seed) ])
     ~result:(fun r ->
       ("accepted", Obs.Int state.stats.Telemetry.sa_moves_accepted)
       :: ("temp_steps", Obs.Int state.stats.Telemetry.sa_temp_steps)
       :: (match r with Ok () -> [] | Error msg -> [ ("error", Obs.Str msg) ]))
     ~cat:"mapper" ~name:"sa"
-    (fun () -> place_untraced p state order)
+    (fun () -> place_untraced ~seed state order)

@@ -11,14 +11,16 @@
     every move by construction; routing is left entirely to the request
     backend's router.
 
-    Equal {!Backend.sa_params} (same seed, budget, schedule) on the
+    The schedule is fixed (20,000 moves in batches of 64, starting at
+    temperature 64.0, warming by 1.5x until a batch accepts 90% of its
+    moves, then cooling by 0.92x until below 0.05).  Equal seeds on the
     same attempt produce byte-identical placements; no wall-clock or
     global state is consulted.
 
     Telemetry: accepted/rejected moves and temperature steps go to
     [sa_moves_accepted]/[sa_moves_rejected]/[sa_temp_steps]. *)
 
-val place : Backend.sa_params -> Engine.state -> int list -> (unit, string) result
+val place : seed:int -> Engine.state -> int list -> (unit, string) result
 (** Place every node of the attempt (in [order] for the greedy seed
     phase), leaving the refined placement in [state.placements] with
     FU slots reserved.  Fails only if the greedy seed placement finds

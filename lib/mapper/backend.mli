@@ -1,80 +1,45 @@
-(** Pluggable placement/routing strategies for the mapper.
+(** The mapper's placement/routing strategies.
 
-    A backend names one placer and one router; {!Search} orchestrates
-    whichever pair a {!Mapper.request} carries.  Three presets are
-    reachable from every user surface (CLI [--backend], the serve
-    protocol's map op, sweep configs):
+    A backend is one of three presets, reachable from every user
+    surface (CLI [--backend], the serve protocol's map op, sweep
+    configs); {!Search} runs the placer/router pair each one names:
 
     - [default] — greedy topological placement with as-you-go Dijkstra
       routing, the pair pinned byte-for-byte by the golden corpus;
     - [sa] — a seeded simulated-annealing placer ({!Anneal}) followed
       by the negotiated-congestion router;
     - [pathfinder] — greedy placement decoupled from routing, with a
-      Pathfinder-style rip-up-and-reroute router ({!Pathfinder}).
+      Pathfinder-style rip-up-and-reroute router ({!module-Pathfinder}).
 
     See [docs/MAPPER_BACKENDS.md] for the interface contract and the
-    tuning knobs. *)
+    schedule constants. *)
 
-type sa_params = {
-  seed : int;  (** move-stream seed; equal seeds give equal mappings *)
-  moves : int;  (** total move budget across warming and cooling *)
-  batch : int;  (** moves per temperature step *)
-  t_init : float;  (** starting temperature *)
-  t_min : float;  (** cooling stops below this temperature *)
-  warm_target : float;
-      (** warm until a batch's acceptance ratio reaches this *)
-  warm_mult : float;  (** temperature multiplier per warming step *)
-  cool : float;  (** temperature multiplier per cooling step *)
-}
-(** Simulated-annealing schedule (the [SAStruct] /[DefaultSAWarm] /
-    [DefaultSACool] trio of Mapper2.jl, collapsed into one record). *)
-
-type pf_params = {
-  max_rounds : int;  (** rip-up-and-reroute rounds before giving up *)
-  present_base : int;
-      (** first-round cost per extra present occupant of a port slot *)
-  present_growth : int;
-      (** multiplicative growth of the present cost per round *)
-  history_weight : int;
-      (** cost per unit of accumulated congestion history *)
-}
-(** Negotiated-congestion schedule (Pathfinder's present/history cost
-    split). *)
-
-type placer = Greedy | Annealing of sa_params
-
-type router = Incremental | Negotiated of pf_params
-(** [Incremental] is the legacy Dijkstra router: fused with greedy
-    placement when paired with {!Greedy} (routes each node's incident
-    deps as it is placed), or run edge-by-edge over a finished
-    placement otherwise.  [Negotiated] routes all deps of a complete
-    placement, tolerating and then negotiating away congestion. *)
-
-type t = { placer : placer; router : router }
-
-val default_sa_params : sa_params
-val default_pf_params : pf_params
+type t =
+  | Default  (** greedy placer fused with the incremental Dijkstra router *)
+  | Sa of int
+      (** annealing placer seeded with the payload, then the negotiated
+          router; equal seeds give equal mappings *)
+  | Pathfinder  (** routing-blind greedy placer, then the negotiated router *)
 
 val default : t
-(** Greedy + incremental Dijkstra — the golden-corpus-pinned pair. *)
+(** [Default] — the golden-corpus-pinned pair. *)
 
 val sa : t
-(** Annealing placer + negotiated router. *)
+(** [Sa] at the default seed. *)
 
 val pathfinder : t
-(** Greedy placement (routing-blind) + negotiated router. *)
+(** [Pathfinder]. *)
 
 val is_default : t -> bool
 
 val to_string : t -> string
-(** Canonical name: ["default"], ["sa"], ["sa:<seed>"],
-    ["pathfinder"], or ["sa+dijkstra:<seed>"].  Injective on every
-    value {!of_string} can produce; used for cache keys and protocol
+(** Canonical name: ["default"], ["sa"] (the default seed),
+    ["sa:<seed>"] or ["pathfinder"].  Used for cache keys and protocol
     frames. *)
 
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string} (non-preset parameter records are not
-    representable and parse back to presets with the given seed). *)
+(** Inverse of {!to_string}; a seed is read only in its canonical
+    decimal spelling. *)
 
 val names : string list
 (** The three preset names, for CLI help and docs. *)

@@ -497,25 +497,3 @@ let all_deps state =
   List.concat_map
     (fun id -> Graph.successors state.dfg id)
     (Graph.node_ids state.dfg)
-
-(* Route a complete placement edge-by-edge with the incremental
-   Dijkstra router (first-come-first-served, no negotiation).  Used
-   when an SA placement is paired with the [Incremental] router. *)
-let route_complete state =
-  let rec go = function
-    | [] -> Ok ()
-    | (e : Graph.edge) :: rest -> (
-      if not (is_placed state e.src && is_placed state e.dst) then
-        Error (Printf.sprintf "edge n%d->n%d: endpoint unplaced" e.src e.dst)
-      else
-        match
-          route_edge state e ~src_tile:state.place_tile.(e.src)
-            ~src_time:state.place_time.(e.src) ~dst_tile:state.place_tile.(e.dst)
-            ~dst_time:state.place_time.(e.dst)
-        with
-        | Ok r ->
-          state.routes <- r :: state.routes;
-          go rest
-        | Error msg -> Error msg)
-  in
-  go (all_deps state)

@@ -100,16 +100,7 @@ val edge_slack : state -> Graph.edge -> int
 
 val label_of : state -> int -> Dvfs.level
 
-val busy_count : state -> int -> int
-
-val tentative_level : state -> int -> Dvfs.level option
-
-val tile_width : state -> int -> int
-(** Commit-mode slot width of a tile (1 outside commit mode). *)
-
 val committed_level : state -> int -> Dvfs.level option
-
-val phase_penalty : state -> weight:int -> int -> int -> int
 
 val route_extra_cost : state -> tile:int -> time:int -> int
 (** Per-hop routing penalty from the DVFS cost model (unopened islands,
@@ -161,7 +152,3 @@ val rebuild_island_levels : state -> unit
 val all_deps : state -> Graph.edge list
 (** Every DFG edge in one deterministic order (ascending producer id,
     then successor-edge order). *)
-
-val route_complete : state -> (unit, string) result
-(** Route a complete placement edge-by-edge with the incremental
-    Dijkstra router (no congestion negotiation). *)

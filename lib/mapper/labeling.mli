@@ -69,6 +69,3 @@ val label :
     calls {!apply} instead.
     @raise Invalid_argument if [tiles] is empty, [ii <= 0], or
     [guard < 0]. *)
-
-val capacity_slots : tiles:int list -> ii:int -> int
-(** Total tile-time slots available per II: [length tiles * ii]. *)

@@ -11,7 +11,16 @@ exception Unroutable of string
    overused port slots grow present and history costs round over round
    until each slot has a single tenant, then the routes are committed
    to the MRRG. *)
-let route_all (p : Backend.pf_params) state =
+(* The negotiation schedule: rounds before giving up, the first
+   round's cost per extra present occupant of a port slot and its
+   growth factor per round, and the cost per unit of accumulated
+   congestion history. *)
+let max_rounds = 24
+let present_base = 60
+let present_growth = 2
+let history_weight = 40
+
+let route_all state =
   let mrrg = state.mrrg in
   let ii = state.ii in
   let tiles = Cgra.tile_count state.req.cgra in
@@ -38,12 +47,12 @@ let route_all (p : Backend.pf_params) state =
         done)
       Dir.all
   done;
-  let present = ref p.present_base in
+  let present = ref present_base in
   let port_cost ~tile ~dir ~time =
     let r = res ~tile ~dir ~time in
     let price = base.(r) in
     if price < 0 then -1
-    else price + (p.history_weight * history.(r)) + (usage.(r) * !present)
+    else price + (history_weight * history.(r)) + (usage.(r) * !present)
   in
   (* Add [delta] to the usage of a hop list's distinct resources:
      fan-out of one edge shares wires, so the same slot crossed twice
@@ -80,11 +89,11 @@ let route_all (p : Backend.pf_params) state =
     let current = Array.make (Array.length arr) [] in
     let routed = Array.make (Array.length arr) false in
     let rec negotiate round =
-      if round > p.max_rounds then
+      if round > max_rounds then
         Error
           (Printf.sprintf
              "pathfinder: congestion unresolved after %d rounds at II=%d (%d overused slots)"
-             p.max_rounds ii
+             max_rounds ii
              (Array.fold_left (fun acc u -> if u > 1 then acc + 1 else acc) 0 usage))
       else begin
         state.stats.Telemetry.pf_rounds <- state.stats.Telemetry.pf_rounds + 1;
@@ -139,7 +148,7 @@ let route_all (p : Backend.pf_params) state =
           Array.iteri
             (fun r u -> if u > 1 then history.(r) <- history.(r) + (u - 1))
             usage;
-          present := min 1_000_000 (!present * p.present_growth);
+          present := min 1_000_000 (!present * present_growth);
           negotiate (round + 1)
         end
       end

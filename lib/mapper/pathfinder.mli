@@ -10,12 +10,14 @@
     carries zero residual congestion, so it passes
     {!Validate.check}/{!Mapping.to_mrrg} like any other backend's.
     Fails when an edge has no path within its deadline at all, or when
-    [max_rounds] negotiation rounds cannot clear the overflow.
+    24 negotiation rounds cannot clear the overflow.  The present cost
+    starts at 60 per extra occupant and doubles each round; history
+    costs 40 per unit.
 
     Telemetry: rounds go to [pf_rounds], summed overused slot counts to
     [pf_overflow]. *)
 
-val route_all : Backend.pf_params -> Engine.state -> (unit, string) result
+val route_all : Engine.state -> (unit, string) result
 (** Route all deps of the placement in [state], appending to
     [state.routes] and reserving MRRG ports on success.  Deterministic
-    for a given placement and parameter set. *)
+    for a given placement. *)

@@ -8,25 +8,20 @@ module Clock = Iced_obs.Clock
    The default pair is special: greedy placement and incremental
    routing are fused (each node's deps are routed as it is placed, and
    unroutable placements are undone candidate by candidate) — that
-   exact interleaving is what the golden corpus pins.  Every other
-   pair decouples the phases: place everything, rebuild the island
-   bookkeeping, then route the complete placement. *)
+   exact interleaving is what the golden corpus pins.  The other two
+   decouple the phases: place everything, rebuild the island
+   bookkeeping, then negotiate routes for the complete placement. *)
 let place_and_route (state : Engine.state) order =
-  match (state.req.backend.Backend.placer, state.req.backend.Backend.router) with
-  | Backend.Greedy, Backend.Incremental -> Greedy.place_all ~route:true state order
-  | placer, router -> (
-    let placed =
-      match placer with
-      | Backend.Greedy -> Greedy.place_all ~route:false state order
-      | Backend.Annealing p -> Anneal.place p state order
-    in
-    match placed with
+  let negotiate = function
     | Error _ as e -> e
     | Ok () ->
       Engine.rebuild_island_levels state;
-      (match router with
-      | Backend.Incremental -> Engine.route_complete state
-      | Backend.Negotiated p -> Pathfinder.route_all p state))
+      Pathfinder.route_all state
+  in
+  match state.req.backend with
+  | Backend.Default -> Greedy.place_all ~route:true state order
+  | Backend.Pathfinder -> negotiate (Greedy.place_all ~route:false state order)
+  | Backend.Sa seed -> negotiate (Anneal.place ~seed state order)
 
 (* Everything an attempt needs that depends on the DFG alone, derived
    once per mapping run and shared by every II, margin and cost-model

@@ -22,11 +22,6 @@ val pid : int
 (** The fixed process id stamped on every exported event (the toolchain
     is one process; domains are the [tid]s). *)
 
-val flame_summary : Trace.event list -> string
-(** Aggregate wall time by span call path, one line per path, indented
-    by depth, children sorted by total time: a poor man's flame graph
-    for terminals.  Instants and counters are ignored. *)
-
 val write_file : path:string -> string -> unit
 (** Write a rendered document to [path] (truncating). *)
 

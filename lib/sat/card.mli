@@ -7,8 +7,6 @@ val at_most_one : Solver.t -> Solver.lit list -> unit
 (** Pairwise for up to 4 literals, sequential (ladder) encoding above
     that: 3n-ish clauses and n-1 auxiliary variables instead of n². *)
 
-val at_least_one : Solver.t -> Solver.lit list -> unit
-
 val exactly_one : Solver.t -> Solver.lit list -> unit
 
 val at_most_k : Solver.t -> k:int -> Solver.lit list -> unit

@@ -48,8 +48,6 @@ let rec sleep_until target =
 (* ------------------------------------------------------------------ *)
 (* request handlers                                                    *)
 
-let params = Iced_power.Params.default
-
 let handle_map ~cache ~cancel ~id ~point ~kernel ~backend =
   match Registry.by_name kernel with
   | None -> Protocol.response_error ~id (Printf.sprintf "unknown kernel %S" kernel)
@@ -57,7 +55,7 @@ let handle_map ~cache ~cancel ~id ~point ~kernel ~backend =
     let key = Cache.key ~backend:(Iced_mapper.Backend.to_string backend) point k in
     let status =
       Cache.find_or_store cache ~key (fun () ->
-          Outcome.evaluate_kernel ~cancel ~backend ~params point k)
+          Outcome.evaluate_kernel ~cancel ~backend point k)
     in
     (match status with
     | Outcome.Timed_out -> Metrics.incr "serve.deadline_expired"

@@ -3,7 +3,6 @@ module Obs = Iced_obs.Trace
 
 type t = {
   window_size : int;
-  floor : Dvfs.level;
   label_floors : (string * Dvfs.level) list;
   mutable levels : (string * Dvfs.level) list;
   exe_table : (string, float list) Hashtbl.t;
@@ -21,11 +20,10 @@ type t = {
    bottleneck and cost a slow window). *)
 let guard_band = 0.8
 
-let create ?(window = 10) ?(floor = Dvfs.Rest) ?(label_floors = []) ~labels () =
+let create ?(window = 10) ?(label_floors = []) ~labels () =
   if window <= 0 then invalid_arg "Controller.create: non-positive window";
   {
     window_size = window;
-    floor;
     label_floors;
     levels = List.map (fun l -> (l, Dvfs.Normal)) labels;
     exe_table = Hashtbl.create 16;
@@ -133,8 +131,8 @@ let adjust_body t =
               else if 2.0 *. worst <= guard_band *. bottleneck_time then
                 let floor =
                   match List.assoc_opt label t.label_floors with
-                  | Some f when Dvfs.faster f t.floor -> f
-                  | _ -> t.floor
+                  | Some f when Dvfs.faster f Dvfs.Rest -> f
+                  | _ -> Dvfs.Rest
                 in
                 Dvfs.step_down ~floor level
               else level

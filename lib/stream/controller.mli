@@ -23,12 +23,11 @@ type t
     created with. *)
 
 val create :
-  ?window:int -> ?floor:Dvfs.level -> ?label_floors:(string * Dvfs.level) list ->
-  labels:string list -> unit -> t
+  ?window:int -> ?label_floors:(string * Dvfs.level) list -> labels:string list -> unit -> t
 (** Create a controller for [labels], all starting at [Normal].
-    [window] defaults to 10 inputs; [floor] (lowest runtime level)
-    defaults to [Rest]; [label_floors] are the compiler's per-kernel
-    eligibility bounds ({!Partition.t.level_floors}).
+    [window] defaults to 10 inputs; no kernel is lowered below [Rest]
+    or below its [label_floors] entry, the compiler's per-kernel
+    eligibility bound ({!Partition.t.level_floors}).
     @raise Invalid_argument on a non-positive [window]. *)
 
 val window : t -> int

@@ -4,7 +4,6 @@ type t = {
   mutable allocation : (string * int) list;
   exe_table : (string, float list) Hashtbl.t;
   mutable inputs_seen : int;
-  mutable reshapes : int;
 }
 
 let create ?(window = 10) partition =
@@ -15,7 +14,6 @@ let create ?(window = 10) partition =
     allocation = partition.Partition.allocation;
     exe_table = Hashtbl.create 16;
     inputs_seen = 0;
-    reshapes = 0;
   }
 
 let allocation t = t.allocation
@@ -69,16 +67,14 @@ let reshape t =
       in
       let b_after = scale b_label b_count (b_count + 1) b_time in
       let d_after = scale d_label d_count (d_count - 1) d_time in
-      if Float.max b_after d_after < b_time then begin
+      if Float.max b_after d_after < b_time then
         t.allocation <-
           List.map
             (fun (label, count) ->
               if label = b_label then (label, count + 1)
               else if label = d_label then (label, count - 1)
               else (label, count))
-            t.allocation;
-        t.reshapes <- t.reshapes + 1
-      end)
+            t.allocation)
 
 let input_done t =
   t.inputs_seen <- t.inputs_seen + 1;
@@ -87,4 +83,3 @@ let input_done t =
     Hashtbl.reset t.exe_table
   end
 
-let reshapes t = t.reshapes

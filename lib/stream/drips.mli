@@ -21,6 +21,3 @@ val observe : t -> label:string -> busy_time:float -> unit
 
 val input_done : t -> unit
 (** On the window boundary, attempt one island migration. *)
-
-val reshapes : t -> int
-(** Migrations performed so far. *)

@@ -36,9 +36,9 @@ let gate ~resize holders victim ~island =
     |> List.stable_sort (fun a b -> compare b.count a.count)
     |> borrow
 
-let reconfig_us (params : Iced_power.Params.t) (candidate : Partition.candidate) =
+let reconfig_us (candidate : Partition.candidate) =
   let bits = Iced_mapper.Bitstream.total_bits candidate.Partition.mapping in
-  float_of_int ((bits + 63) / 64) /. params.Iced_power.Params.f_normal_mhz
+  float_of_int ((bits + 63) / 64) /. Iced_power.Params.default.f_normal_mhz
 
 let tiles (p : Partition.t) =
   let cgra = p.Partition.cgra in

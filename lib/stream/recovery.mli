@@ -31,7 +31,7 @@ val gate :
     last island to the victim, which is then resized.  [Error] when no
     donor is accepted or that resize fails (the donor stays shrunk). *)
 
-val reconfig_us : Iced_power.Params.t -> Partition.candidate -> float
+val reconfig_us : Partition.candidate -> float
 (** Latency of loading a candidate: its bitstream in 64-bit words, one
     word per base-clock cycle. *)
 

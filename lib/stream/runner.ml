@@ -104,12 +104,10 @@ type monitor = Fixed | Dvfs of Controller.t | Repartition of Drips.t
    updates.  A solo run drives one lane, a shared run one per tenant. *)
 type lane = {
   window : int;
-  params : Params.t;
   design : Model.design;
   monitor : monitor;
   plan : Fault.plan;
   recovery : recovery;
-  mapper_stats : Iced_mapper.Mapper.stats option;
   total : int;
   mutable partition : Partition.t;
   mutable kernels : (string * kernel Recovery.holder) list;
@@ -138,12 +136,11 @@ let kernels_of (partition : Partition.t) =
         } ))
     partition.Partition.allocation partition.Partition.prepared
 
-let lane ~window ~params ?(plan = Fault.none) ?(recovery = Fail_stop) ?stats
-    (partition : Partition.t) policy inputs =
+let lane ~window ?(plan = Fault.none) ?(recovery = Fail_stop) (partition : Partition.t)
+    policy inputs =
   if window <= 0 then invalid_arg "Runner: non-positive window";
   {
     window;
-    params;
     design = (if policy = Iced_dvfs then Model.Iced else Model.Baseline);
     monitor =
       (match policy with
@@ -155,7 +152,6 @@ let lane ~window ~params ?(plan = Fault.none) ?(recovery = Fail_stop) ?stats
       | Drips -> Repartition (Drips.create ~window partition));
     plan;
     recovery;
-    mapper_stats = stats;
     total = List.length inputs;
     partition;
     kernels = kernels_of partition;
@@ -209,7 +205,7 @@ let account lane input =
     let iters = instance.Pipeline.iterations input in
     let cycles = candidate.Partition.mapping.Iced_mapper.Mapping.ii * iters in
     let wall_us =
-      float_of_int (cycles * Dvfs.multiplier level) /. lane.params.Params.f_normal_mhz
+      float_of_int (cycles * Dvfs.multiplier level) /. Params.default.f_normal_mhz
     in
     { label; wall_us; cycles; candidate; level }
   in
@@ -313,7 +309,7 @@ let rebuild lane (h : kernel Recovery.holder) =
         ~max_ii:(min 64 (old_ii * 4))
         ~cancel ~dead_tiles ~dead_links cgra
     in
-    Iced_mapper.Mapper.map ?stats:lane.mapper_stats req
+    Iced_mapper.Mapper.map req
       k.prepared.instance.Pipeline.kernel.Iced_kernels.Kernel.dfg
     |> Result.map (fun mapping ->
            let c =
@@ -325,7 +321,7 @@ let rebuild lane (h : kernel Recovery.holder) =
   end
 
 let charge lane candidate =
-  let us = Recovery.reconfig_us lane.params candidate in
+  let us = Recovery.reconfig_us candidate in
   lane.pending_us <- lane.pending_us +. us;
   lane.fstats <- { lane.fstats with recovery_time_us = lane.fstats.recovery_time_us +. us }
 
@@ -432,7 +428,7 @@ let consume ?on_input lane input =
     lane.fstats <- { lane.fstats with inputs_dropped = lane.fstats.inputs_dropped + 1 };
   lane.next <- i + 1;
   let power =
-    Model.total_power_mw lane.params lane.design lane.partition.Partition.cgra ~tiles
+    Model.total_power_mw Params.default lane.design lane.partition.Partition.cgra ~tiles
       ~sram_activity
   in
   lane.w_periods <- !wall_us :: lane.w_periods;
@@ -527,8 +523,10 @@ let solo_window lane =
 let run_span ~trace ~cat ~name args body =
   if trace then Obs.span ~args ~cat ~name body else Obs.suppress body
 
-let run_resilient ?(window = 10) ?(params = Params.default) ?(faults = Fault.none)
-    ?(recovery = Fail_stop) ?stats ?(trace = true) partition policy inputs =
+let default_window = 10
+
+let run_resilient ?(window = default_window) ?(faults = Fault.none) ?(recovery = Fail_stop)
+    ?(trace = true) partition policy inputs =
   run_span ~trace ~cat:"stream" ~name:"run"
     (fun () ->
       [
@@ -541,7 +539,7 @@ let run_resilient ?(window = 10) ?(params = Params.default) ?(faults = Fault.non
   if policy = Drips && not (Fault.is_empty faults) then
     invalid_arg
       "Runner.run_resilient: the DRIPS baseline has no fault model; use Static or Iced_dvfs";
-  let lane = lane ~window ~params ~plan:faults ~recovery ?stats partition policy inputs in
+  let lane = lane ~window ~plan:faults ~recovery partition policy inputs in
   (try
      while lane.remaining <> [] do
        solo_window lane
@@ -567,8 +565,8 @@ let run_resilient ?(window = 10) ?(params = Params.default) ?(faults = Fault.non
   Iced_obs.Metrics.incr ~by:stats.recoveries "stream.faults.recoveries";
   (List.rev lane.reports, stats)
 
-let run ?window ?params ?trace partition policy inputs =
-  fst (run_resilient ?window ?params ~faults:Fault.none ?trace partition policy inputs)
+let run ?window ?trace partition policy inputs =
+  fst (run_resilient ?window ~faults:Fault.none ?trace partition policy inputs)
 
 type totals = {
   total_inputs : int;
@@ -637,9 +635,9 @@ type shared_report = {
   peak_power_mw : float;
 }
 
-let run_shared ?(window = 10) ?(params = Params.default)
-    ?(arbitrate = fun ~round:_ desired -> desired) ?reconfigure ?(trace = true)
+let run_shared ?(arbitrate = fun ~round:_ desired -> desired) ?reconfigure ?(trace = true)
     ~fabric tenants =
+  let window = default_window in
   run_span ~trace ~cat:"tenancy" ~name:"run_shared"
     (fun () -> [ ("tenants", Obs.Int (List.length tenants)); ("window", Obs.Int window) ])
   @@ fun () ->
@@ -655,13 +653,13 @@ let run_shared ?(window = 10) ?(params = Params.default)
   let lanes =
     List.map
       (fun t ->
-        let l = lane ~window ~params t.partition Iced_dvfs t.stream in
+        let l = lane ~window t.partition Iced_dvfs t.stream in
         match l.monitor with
         | Dvfs c -> (t.tenant, c, l)
         | Fixed | Repartition _ -> assert false)
       tenants
   in
-  let overhead_mw = Model.overhead_power_mw params Model.Iced fabric in
+  let overhead_mw = Model.overhead_power_mw Params.default Model.Iced fabric in
   let evicted = ref [] in
   (* a reassignment only touches known, not yet evicted tenants *)
   let with_live id f =
@@ -698,7 +696,9 @@ let run_shared ?(window = 10) ?(params = Params.default)
           let busy_us = ref 0.0 and tile_mw_us = ref 0.0 and sram_us = ref 0.0 in
           step l ~on_input:(fun ~period_us ~wall_us tiles sram_activity ->
               let tile_mw =
-                List.fold_left (fun acc tm -> acc +. Model.tile_power_mw params tm) 0.0 tiles
+                List.fold_left
+                  (fun acc tm -> acc +. Model.tile_power_mw Params.default tm)
+                  0.0 tiles
               in
               tile_mw_us := !tile_mw_us +. (period_us *. tile_mw);
               sram_us := !sram_us +. (sram_activity *. period_us);
@@ -731,7 +731,7 @@ let run_shared ?(window = 10) ?(params = Params.default)
                 in
                 acc
                 +. float_of_int tiles
-                   *. Model.tile_power_mw params { Model.level; activity = 0.0 })
+                   *. Model.tile_power_mw Params.default { Model.level; activity = 0.0 })
               0.0 (Recovery.tiles l.partition)
           in
           acc +. tile_mw_us +. (idle_mw *. idle_us))
@@ -746,7 +746,7 @@ let run_shared ?(window = 10) ?(params = Params.default)
       span_us;
       fabric_power_mw =
         (if span_us > 0.0 then tile_energy /. span_us else 0.0)
-        +. Model.sram_power_mw params ~activity:sram_activity
+        +. Model.sram_power_mw Params.default ~activity:sram_activity
         +. overhead_mw;
       slices = List.map fst slices;
     }

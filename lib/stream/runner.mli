@@ -108,25 +108,26 @@ type fault_stats = {
 val no_faults : fault_stats
 (** All-zero stats: what a fault-free run reports. *)
 
+val default_window : int
+(** The paper's observation window, 10 inputs: {!run}'s default and
+    {!run_shared}'s window. *)
+
 val run :
   ?window:int ->
-  ?params:Iced_power.Params.t ->
   ?trace:bool ->
   Partition.t ->
   policy ->
   Pipeline.input list ->
   window_report list
-(** Stream the inputs through the pipeline.  [window] defaults to the
-    paper's 10 inputs; [trace:false] silences this run's trace spans
+(** Stream the inputs through the pipeline.  [window] defaults to
+    {!default_window}; [trace:false] silences this run's trace spans
     (see the {e Tracing} section above).  Equivalent to
     {!run_resilient} under the empty fault plan. *)
 
 val run_resilient :
   ?window:int ->
-  ?params:Iced_power.Params.t ->
   ?faults:Iced_fault.Fault.plan ->
   ?recovery:recovery ->
-  ?stats:Iced_mapper.Mapper.stats ->
   ?trace:bool ->
   Partition.t ->
   policy ->
@@ -135,10 +136,8 @@ val run_resilient :
 (** Stream the inputs while injecting [faults] (default: none) and
     recovering per [recovery] (default [Fail_stop]).  A fault scheduled
     at input [k] fires just before input [k] is consumed.  Under the
-    empty plan the reports are identical to {!run}'s.  [stats]
-    accumulates the mapper telemetry of every recovery remap (clean
-    geometries reuse prepared mappings and contribute nothing);
-    [trace:false] silences this run's trace spans (see the {e Tracing}
+    empty plan the reports are identical to {!run}'s.  [trace:false]
+    silences this run's trace spans (see the {e Tracing}
     section above).
     @raise Invalid_argument for [Drips] with a non-empty plan (the
     DRIPS baseline has no fault model). *)
@@ -207,8 +206,6 @@ type shared_report = {
 (** The outcome of a shared run. *)
 
 val run_shared :
-  ?window:int ->
-  ?params:Iced_power.Params.t ->
   ?arbitrate:
     (round:int ->
     (string * (string * Dvfs.level) list) list ->
@@ -220,7 +217,7 @@ val run_shared :
   tenant_stream list ->
   shared_report
 (** Stream every tenant on the shared [fabric] in round-robin windows
-    (the ICED policy; [window] defaults to the paper's 10 inputs).
+    of {!default_window} inputs (the ICED policy).
     Each round, [arbitrate] sees the per-tenant desired levels (from
     each tenant's controller, in tenant order) and returns the granted
     assignment — the default grants everything.  Granted levels apply

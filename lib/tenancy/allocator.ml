@@ -41,13 +41,12 @@ type decision = {
 type t = {
   cap_mw : float option;
   policy : policy;
-  params : Params.t;
   fabric : Cgra.t;
   mutable members : member list;
   mutable decisions : decision list;  (* reversed *)
 }
 
-let create ?cap_mw ?(params = Params.default) ~policy ~fabric members =
+let create ?cap_mw ~policy ~fabric members =
   (match cap_mw with
   | Some c when not (Float.is_finite c && c > 0.0) ->
     invalid_arg "Allocator.create: cap must be finite and positive"
@@ -59,7 +58,7 @@ let create ?cap_mw ?(params = Params.default) ~policy ~fabric members =
   (match dup members with
   | Some id -> invalid_arg ("Allocator.create: duplicate member " ^ id)
   | None -> ());
-  { cap_mw; policy; params; fabric; members; decisions = [] }
+  { cap_mw; policy; fabric; members; decisions = [] }
 
 let cap_mw t = t.cap_mw
 let policy t = t.policy
@@ -75,11 +74,10 @@ let member_of t id = List.find_opt (fun m -> m.id = id) t.members
 (* ------------------------------------------------------------------ *)
 (* the power envelope *)
 
-let tiles_envelope_mw params level tiles =
-  float_of_int tiles
-  *. Model.tile_power_mw params { Model.level; activity = 1.0 }
+let tiles_envelope_mw level tiles =
+  float_of_int tiles *. Model.tile_power_mw Params.default { Model.level; activity = 1.0 }
 
-let member_envelope_mw t m levels =
+let member_envelope_mw m levels =
   List.fold_left
     (fun acc (label, tiles) ->
       let level =
@@ -87,19 +85,19 @@ let member_envelope_mw t m levels =
         | Some l -> l
         | None -> Dvfs.Normal
       in
-      acc +. tiles_envelope_mw t.params level tiles)
+      acc +. tiles_envelope_mw level tiles)
     0.0 m.kernel_tiles
 
 let shared_envelope_mw t =
-  Model.sram_power_mw t.params ~activity:1.0
-  +. Model.overhead_power_mw t.params Model.Iced t.fabric
+  Model.sram_power_mw Params.default ~activity:1.0
+  +. Model.overhead_power_mw Params.default Model.Iced t.fabric
 
 let envelope_mw t assignment =
   List.fold_left
     (fun acc (id, levels) ->
       match member_of t id with
       | None -> acc
-      | Some m -> acc +. member_envelope_mw t m levels)
+      | Some m -> acc +. member_envelope_mw m levels)
     (shared_envelope_mw t) assignment
 
 let max_envelope_mw t =
@@ -126,8 +124,8 @@ let floor_envelope_mw t =
 let pick_victim t candidates =
   let score (m, levels) =
     match t.policy with
-    | Fair_share -> member_envelope_mw t m levels
-    | Weighted_qos -> member_envelope_mw t m levels /. Float.max 1e-9 m.weight
+    | Fair_share -> member_envelope_mw m levels
+    | Weighted_qos -> member_envelope_mw m levels /. Float.max 1e-9 m.weight
     | Strict_priority -> float_of_int (-m.priority)
   in
   match candidates with
@@ -146,7 +144,7 @@ let pick_victim t candidates =
 (* Within the victim, demote the kernel whose envelope share is
    largest among those still above [Rest] (first in kernel order on
    ties): the cheapest single step that buys the most headroom. *)
-let demote_one t m levels =
+let demote_one m levels =
   let pick =
     List.fold_left
       (fun best (label, level) ->
@@ -157,7 +155,7 @@ let demote_one t m levels =
             | Some n -> n
             | None -> 0
           in
-          let cost = tiles_envelope_mw t.params level tiles in
+          let cost = tiles_envelope_mw level tiles in
           match best with
           | Some (_, bcost) when bcost >= cost -> best
           | _ -> Some (label, cost))
@@ -201,7 +199,7 @@ let arbitrate t ~round desired =
           infeasible := true
         | Some victim -> (
           let levels = List.assoc victim.id !granted in
-          match demote_one t victim levels with
+          match demote_one victim levels with
           | None -> infeasible := true
           | Some levels' ->
             granted :=

@@ -78,9 +78,7 @@ type decision = {
 
 type t
 
-val create :
-  ?cap_mw:float -> ?params:Iced_power.Params.t -> policy:policy ->
-  fabric:Cgra.t -> member list -> t
+val create : ?cap_mw:float -> policy:policy -> fabric:Cgra.t -> member list -> t
 (** An allocator for [members] sharing [fabric] under [cap_mw]
     milliwatts (no cap when omitted).  [fabric] prices the shared SPM
     and controller-overhead envelope terms.

@@ -2,28 +2,13 @@ module Runner = Iced_stream.Runner
 module Partition = Iced_stream.Partition
 module Pipeline = Iced_stream.Pipeline
 module Cgra = Iced_arch.Cgra
-module Params = Iced_power.Params
 module Fault = Iced_fault.Fault
 module Recovery = Iced_stream.Recovery
 
-type spec = {
-  fabric : Cgra.t;
-  window : int;
-  params : Params.t;
-  faults : int;
-  fault_seed : int;
-}
+type spec = { faults : int; fault_seed : int }
 
-let default_fabric = Cgra.make ~rows:12 ~cols:4 ()
-
-let default_spec =
-  {
-    fabric = default_fabric;
-    window = 10;
-    params = Params.default;
-    faults = 0;
-    fault_seed = 7;
-  }
+let fabric = Cgra.make ~rows:12 ~cols:4 ()
+let default_spec = { faults = 0; fault_seed = 7 }
 
 type placement = {
   tenant : Tenant.t;
@@ -40,7 +25,7 @@ let tenant_count plan = List.length plan.placements
 (* Every island of a tenant's sub-fabric must touch column 0 (the SPM
    ports live there), so islands stack vertically: [count] islands of
    the fabric's island shape, one per block row. *)
-let sub_fabric fabric count =
+let sub_fabric count =
   Cgra.make
     ~island:(fabric.Cgra.island_rows, fabric.Cgra.island_cols)
     ~spm_banks:fabric.Cgra.spm_banks ~spm_kbytes:fabric.Cgra.spm_kbytes
@@ -49,8 +34,8 @@ let sub_fabric fabric count =
 
 let profile_of (t : Tenant.t) = List.filteri (fun i _ -> i < 50) t.Tenant.inputs
 
-let prepare_at spec (t : Tenant.t) count =
-  Partition.prepare ~max_islands_per_kernel:count (sub_fabric spec.fabric count)
+let prepare_at (t : Tenant.t) count =
+  Partition.prepare ~max_islands_per_kernel:count (sub_fabric count)
     t.Tenant.pipeline ~profile:(profile_of t)
 
 let min_islands_of (t : Tenant.t) =
@@ -59,7 +44,7 @@ let min_islands_of (t : Tenant.t) =
 (* Weighted largest-remainder island split: every tenant gets its
    pipeline's minimum, the spare islands go proportionally to QoS
    weight, ties on the remainder break by tenant id. *)
-let shares fabric tenants =
+let shares tenants =
   let total = Cgra.island_count fabric in
   let mins = List.map (fun t -> (t, min_islands_of t)) tenants in
   let need = List.fold_left (fun a (_, m) -> a + m) 0 mins in
@@ -114,7 +99,7 @@ let plan ?(spec = default_spec) tenants =
     match dup tenants with
     | Some id -> Error ("Scheduler.plan: duplicate tenant id " ^ id)
     | None -> (
-      match shares spec.fabric tenants with
+      match shares tenants with
       | Error e -> Error e
       | Ok assigned ->
         let next_island = ref 0 in
@@ -129,7 +114,7 @@ let plan ?(spec = default_spec) tenants =
                 Error
                   (Printf.sprintf "tenant %s: no feasible partition" t.Tenant.id)
               else
-                match prepare_at spec t c with
+                match prepare_at t c with
                 | Ok p -> Ok (c, p)
                 | Error _ when c > min_islands -> settle (c - 1)
                 | Error e -> Error (Printf.sprintf "tenant %s: %s" t.Tenant.id e)
@@ -145,7 +130,7 @@ let plan ?(spec = default_spec) tenants =
                 else
                   List.filter_map
                     (fun cc ->
-                      match prepare_at spec t cc with
+                      match prepare_at t cc with
                       | Ok pp -> Some (cc, pp)
                       | Error _ -> None)
                     (List.init (c - min_islands) (fun k -> min_islands + k))
@@ -211,9 +196,9 @@ type report = {
   evictions : int;
 }
 
-let reconfig_penalty_us (params : Params.t) (p : Partition.t) =
+let reconfig_penalty_us (p : Partition.t) =
   List.fold_left
-    (fun acc (label, _) -> acc +. Recovery.reconfig_us params (Partition.allocated p label))
+    (fun acc (label, _) -> acc +. Recovery.reconfig_us (Partition.allocated p label))
     0.0 p.Partition.allocation
 
 let partition_at placement count = List.assoc_opt count placement.partitions
@@ -235,17 +220,14 @@ let members_of plan =
 
 let max_envelope_mw plan =
   Allocator.max_envelope_mw
-    (Allocator.create ~policy:Allocator.Fair_share ~params:plan.spec.params
-       ~fabric:plan.spec.fabric (members_of plan))
+    (Allocator.create ~policy:Allocator.Fair_share ~fabric (members_of plan))
 
 let floor_envelope_mw plan =
   Allocator.floor_envelope_mw
-    (Allocator.create ~policy:Allocator.Fair_share ~params:plan.spec.params
-       ~fabric:plan.spec.fabric (members_of plan))
+    (Allocator.create ~policy:Allocator.Fair_share ~fabric (members_of plan))
 
 let run ?cap_mw ~policy plan =
   let spec = plan.spec in
-  let params = spec.params in
   (* fresh mutable holders per run: a plan is shared read-only across
      sweep workers *)
   let holders =
@@ -255,20 +237,19 @@ let run ?cap_mw ~policy plan =
       plan.placements
   in
   let id (h : placement Recovery.holder) = h.item.tenant.Tenant.id in
-  let alloc =
-    Allocator.create ?cap_mw ~params ~policy ~fabric:spec.fabric (members_of plan)
-  in
+  let alloc = Allocator.create ?cap_mw ~policy ~fabric (members_of plan) in
   let est_rounds =
     List.fold_left
       (fun acc pl ->
         max acc
-          ((List.length pl.tenant.Tenant.inputs + spec.window - 1) / spec.window))
+          ((List.length pl.tenant.Tenant.inputs + Runner.default_window - 1)
+          / Runner.default_window))
       1 plan.placements
   in
   let fault_events =
     if spec.faults = 0 then []
     else
-      Fault.random_events ~seed:spec.fault_seed ~cgra:spec.fabric
+      Fault.random_events ~seed:spec.fault_seed ~cgra:fabric
         ~inputs:(max 2 est_rounds) ~kinds:[ Fault.Island ] ~count:spec.faults ()
   in
   let faults_injected = ref 0 in
@@ -298,7 +279,7 @@ let run ?cap_mw ~policy plan =
       match partition_at h.Recovery.item h.count with
       | None -> Error "no prepared partition"
       | Some p ->
-        swaps := !swaps @ [ (id h, p, reconfig_penalty_us params p) ];
+        swaps := !swaps @ [ (id h, p, reconfig_penalty_us p) ];
         Allocator.update_tiles alloc ~id:(id h) (Recovery.tiles p);
         note_realloc round (id h);
         incr reallocations;
@@ -338,9 +319,7 @@ let run ?cap_mw ~policy plan =
       holders
   in
   let shared =
-    Runner.run_shared ~window:spec.window ~params
-      ~arbitrate:(Allocator.arbitrate alloc) ~reconfigure ~fabric:spec.fabric
-      streams
+    Runner.run_shared ~arbitrate:(Allocator.arbitrate alloc) ~reconfigure ~fabric streams
   in
   let decisions = Allocator.decisions alloc in
   let rounds =

@@ -26,20 +26,18 @@
     fleet totals.  Everything is a pure function of the plan, the
     policy, the cap, and the seeds — byte-reproducible. *)
 
+val fabric : Iced_arch.Cgra.t
+(** The shared physical array: 12x4 tiles, twelve 2x2 islands, room
+    for eight one-island tenants with spares.  Tenants stream on it in
+    windows of {!Iced_stream.Runner.default_window} inputs. *)
+
 type spec = {
-  fabric : Iced_arch.Cgra.t;  (** the shared physical array *)
-  window : int;  (** observation window (paper: 10 inputs) *)
-  params : Iced_power.Params.t;
   faults : int;  (** island-regulator failures to inject, 0 for none *)
   fault_seed : int;  (** seeds {!Iced_fault.Fault.random_events} *)
 }
 
-val default_fabric : Iced_arch.Cgra.t
-(** 12x4 tiles, twelve 2x2 islands: room for eight one-island tenants
-    with spares. *)
-
 val default_spec : spec
-(** {!default_fabric}, window 10, default params, no faults. *)
+(** No faults. *)
 
 type placement = {
   tenant : Tenant.t;

@@ -17,7 +17,7 @@ let make ~id ~qos pipeline inputs =
 (* Kernels small enough to map on a one-island (2x2) strip, so a
    synthetic mix stays feasible even when eight tenants share twelve
    islands. *)
-let default_kernels =
+let kernels =
   [ "fir"; "mvt"; "relu"; "spmv"; "dtw"; "latnrm"; "histogram"; "fft" ]
 
 let kernel_pipeline ~id name =
@@ -44,10 +44,9 @@ let synthetic_inputs rng ~count ~lo ~hi =
 
 let qos_cycle = [ Qos.Premium; Qos.Standard; Qos.Batch ]
 
-let synthetic_mix ?(kernels = default_kernels) ?(inputs = 60) ~seed ~count () =
+let synthetic_mix ?(inputs = 60) ~seed ~count () =
   if count <= 0 then invalid_arg "Tenant.synthetic_mix: non-positive count";
   if inputs <= 0 then invalid_arg "Tenant.synthetic_mix: non-positive inputs";
-  if kernels = [] then invalid_arg "Tenant.synthetic_mix: empty kernel list";
   let rng = Rng.create seed in
   List.init count (fun i ->
       (* one split per tenant: a tenant's stream is independent of how

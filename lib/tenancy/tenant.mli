@@ -21,17 +21,12 @@ val make :
 (** Build a tenant.  @raise Invalid_argument on an empty id or an empty
     input stream. *)
 
-val default_kernels : string list
-(** Table I kernels small enough to map on a single 2x2 island, so a
-    dense mix stays feasible. *)
-
-val synthetic_mix :
-  ?kernels:string list -> ?inputs:int -> seed:int -> count:int -> unit -> t list
+val synthetic_mix : ?inputs:int -> seed:int -> count:int -> unit -> t list
 (** [synthetic_mix ~seed ~count ()] builds [count] tenants, cycling
-    kernels from [kernels] (default {!default_kernels}) and QoS classes
+    Table I kernels small enough to map on a single 2x2 island (so a
+    dense mix stays feasible) and QoS classes
     premium/standard/batch, each with [inputs] (default 60) seeded
     inputs whose work factors are drawn from per-tenant phase-shifted
     ranges.  Equal seeds give equal fleets; a tenant's stream does not
     depend on [count].
-    @raise Invalid_argument on a non-positive [count] or [inputs], or
-    an empty [kernels]. *)
+    @raise Invalid_argument on a non-positive [count] or [inputs]. *)

@@ -171,7 +171,7 @@ let shared count =
     Allocator.all_policies
 
 let shared_faults () =
-  let spec = { Scheduler.default_spec with Scheduler.faults = 3; fault_seed = 11 } in
+  let spec = { Scheduler.faults = 3; fault_seed = 11 } in
   let plan = fleet ~spec ~inputs:40 ~seed:1 4 in
   List.map
     (fun policy ->
@@ -203,7 +203,7 @@ let runner_shared () =
       desired
   in
   let r =
-    R.run_shared ~trace:false ~arbitrate ~fabric:plan.Scheduler.spec.Scheduler.fabric tenants
+    R.run_shared ~trace:false ~arbitrate ~fabric:Scheduler.fabric tenants
   in
   let rounds =
     List.concat_map

@@ -26,22 +26,14 @@ let test_name_roundtrip () =
           (Backend.to_string b ^ " round-trips")
           (Backend.to_string b) (Backend.to_string b')
       | Error msg -> Alcotest.fail msg)
-    [
-      Backend.default;
-      Backend.sa;
-      Backend.pathfinder;
-      { Backend.sa with placer = Backend.Annealing { Backend.default_sa_params with seed = 7 } };
-      {
-        Backend.placer = Backend.Annealing { Backend.default_sa_params with seed = 3 };
-        router = Backend.Incremental;
-      };
-    ];
+    [ Backend.default; Backend.sa; Backend.pathfinder; Backend.Sa 7; Backend.Sa 0 ];
   List.iter
     (fun name ->
       match Backend.of_string name with
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" name)
       | Error _ -> ())
-    [ ""; "greedy"; "sa:"; "sa:x"; "sa:-1"; "pathfinder:3"; "Default" ]
+    [ ""; "greedy"; "sa:"; "sa:x"; "sa:-1"; "pathfinder:3"; "Default"; "sa+dijkstra:3";
+      "sa+dijkstra:0" ]
 
 let test_preset_names_parse () =
   List.iter
@@ -61,14 +53,8 @@ let test_default_backend_identity () =
 
 (* ---------------- SA determinism ---------------- *)
 
-let sa_seeded seed =
-  {
-    Backend.placer = Backend.Annealing { Backend.default_sa_params with seed };
-    router = Backend.Negotiated Backend.default_pf_params;
-  }
-
 let test_sa_same_seed_deterministic () =
-  match (map_with (sa_seeded 11) fir, map_with (sa_seeded 11) fir) with
+  match (map_with (Backend.Sa 11) fir, map_with (Backend.Sa 11) fir) with
   | Ok a, Ok b -> Alcotest.(check string) "same seed, same bytes" (render a) (render b)
   | Error msg, _ | _, Error msg -> Alcotest.fail msg
 
@@ -78,7 +64,7 @@ let test_sa_seeds_explore_differently () =
      accept/reject telemetry *)
   let run seed =
     let stats = Mapper.create_stats () in
-    match Mapper.map ~stats (Mapper.request ~backend:(sa_seeded seed) cgra) fir.dfg with
+    match Mapper.map ~stats (Mapper.request ~backend:(Backend.Sa seed) cgra) fir.dfg with
     | Ok m -> (render m, stats.Mapper.sa_moves_accepted, stats.Mapper.sa_moves_rejected)
     | Error msg -> Alcotest.fail msg
   in

@@ -431,16 +431,15 @@ let test_evaluate_below_mii_fails () =
   let k = List.hd tiny_kernels in
   let _, _, rec_mii = Iced_kernels.Kernel.stats k.Iced_kernels.Kernel.dfg in
   let p = { (List.hd (points3 ())) with Space.max_ii = rec_mii - 1 } in
-  let params = Iced_power.Params.default in
   let mapper_msg =
     match
-      Iced.Design.evaluate ~cgra:(Space.cgra p) ~params ~label_floor:p.Space.floor
+      Iced.Design.evaluate ~cgra:(Space.cgra p) ~label_floor:p.Space.floor
         ~max_ii:p.Space.max_ii Iced.Design.Iced k
     with
     | Error msg -> msg
     | Ok _ -> Alcotest.fail "mapped below its MII"
   in
-  match Outcome.evaluate_kernel ~cancel:(fun () -> false) ~params p k with
+  match Outcome.evaluate_kernel ~cancel:(fun () -> false) p k with
   | Outcome.Failed msg -> Alcotest.(check string) "the mapper's message" mapper_msg msg
   | Outcome.Timed_out -> Alcotest.fail "a hook that never fired timed out"
   | Outcome.Mapped _ -> Alcotest.fail "mapped below its MII"

@@ -321,6 +321,8 @@ let test_campaign_validates_spec () =
     (bad { Campaign.default_spec with Campaign.inputs = 1 });
   Alcotest.(check bool) "too many inputs rejected" true
     (bad { Campaign.default_spec with Campaign.inputs = Campaign.max_inputs + 1 });
+  Alcotest.(check bool) "too many faults rejected" true
+    (bad { Campaign.default_spec with Campaign.faults_per_run = Campaign.max_faults + 1 });
   Alcotest.(check bool) "window 0 rejected" true
     (bad { Campaign.default_spec with Campaign.window = 0 })
 

@@ -84,7 +84,12 @@ let test_synth_rejects_malformed () =
     (fun name ->
       Alcotest.(check bool) (name ^ " rejected") true (Registry.by_name name = None))
     [ "rand"; "randx"; "rand7x1"; "rand0x0"; "rand12"; "rand12x"; "randx12"; "rand12x-3";
-      "rand 12x3"; "rand12x3x4"; "rand012x3"; "rand12x+3" ]
+      "rand 12x3"; "rand12x3x4"; "rand012x3"; "rand12x+3";
+      Synth.name ~nodes:(Synth.max_nodes + 1) ~seed:1 ];
+  (* the node budget is bounded from above too; the largest is a name *)
+  Alcotest.(check (option (pair int int))) "largest budget parses"
+    (Some (Synth.max_nodes, 1))
+    (Synth.parse_name (Synth.name ~nodes:Synth.max_nodes ~seed:1))
 
 let test_unroll_factor_guard () =
   let fir = Option.get (Registry.by_name "fir") in

@@ -140,6 +140,8 @@ let test_decode_invalid () =
   expect_invalid "{\"id\":\"m\",\"op\":\"map\",\"kernel\":\"fir\",\"backend\":\"warp\"}"
     ~id:"m";
   expect_invalid "{\"id\":\"m\",\"op\":\"map\",\"kernel\":\"fir\",\"backend\":7}" ~id:"m";
+  expect_invalid
+    "{\"id\":\"m\",\"op\":\"map\",\"kernel\":\"fir\",\"backend\":\"sa+dijkstra:3\"}" ~id:"m";
   expect_invalid "{\"id\":\"st\",\"op\":\"stream\",\"app\":\"gcn\",\"policy\":\"warp\"}"
     ~id:"st";
   expect_invalid "{\"id\":\"f\",\"op\":\"fault\",\"seeds\":0}" ~id:"f";
@@ -161,14 +163,18 @@ let test_decode_invalid () =
     (Printf.sprintf "{\"id\":\"f\",\"op\":\"fault\",\"inputs\":%d}" (Campaign.max_inputs + 1))
     ~id:"f";
   expect_invalid "{\"id\":\"f\",\"op\":\"fault\",\"inputs\":1}" ~id:"f";
+  expect_invalid
+    (Printf.sprintf "{\"id\":\"f\",\"op\":\"fault\",\"faults\":%d}" (Campaign.max_faults + 1))
+    ~id:"f";
   (match
      Protocol.decode
-       (Printf.sprintf "{\"id\":\"f\",\"op\":\"fault\",\"seeds\":%d,\"inputs\":%d}"
-          Campaign.max_seeds Campaign.max_inputs)
+       (Printf.sprintf
+          "{\"id\":\"f\",\"op\":\"fault\",\"seeds\":%d,\"inputs\":%d,\"faults\":%d}"
+          Campaign.max_seeds Campaign.max_inputs Campaign.max_faults)
    with
-  | Ok { Protocol.request = Protocol.Fault { seeds; inputs; _ }; _ } ->
-    Alcotest.(check (pair int int)) "largest campaign admitted"
-      (Campaign.max_seeds, Campaign.max_inputs) (seeds, inputs)
+  | Ok { Protocol.request = Protocol.Fault { seeds; inputs; faults; _ }; _ } ->
+    Alcotest.(check (triple int int int)) "largest campaign admitted"
+      (Campaign.max_seeds, Campaign.max_inputs, Campaign.max_faults) (seeds, inputs, faults)
   | _ -> Alcotest.fail "a campaign at the bounds was rejected");
   (* numbers inside strings are read in their canonical spelling only *)
   expect_invalid

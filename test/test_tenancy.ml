@@ -52,7 +52,7 @@ let test_single_tenant_identity () =
   let partition = List.assoc p.Scheduler.islands p.Scheduler.partitions in
   let tenant = p.Scheduler.tenant in
   let shared =
-    Runner.run_shared ~trace:false ~fabric:plan.Scheduler.spec.Scheduler.fabric
+    Runner.run_shared ~trace:false ~fabric:Scheduler.fabric
       [ { Runner.tenant = tenant.Tenant.id; partition; stream = tenant.Tenant.inputs } ]
   in
   let solo = Runner.run ~trace:false partition Runner.Iced_dvfs tenant.Tenant.inputs in
@@ -156,7 +156,7 @@ let test_strict_priority_protects_premium () =
 (* ---------------- fault-driven reallocation ---------------- *)
 
 let test_fault_reallocation_across_tenants () =
-  let spec = { Scheduler.default_spec with Scheduler.faults = 3; fault_seed = 11 } in
+  let spec = { Scheduler.faults = 3; fault_seed = 11 } in
   let plan = plan_fleet ~spec ~inputs:40 ~seed:1 4 in
   let r = Scheduler.run ~policy:Allocator.Fair_share plan in
   Alcotest.(check bool) "faults fired" true (r.Scheduler.faults_injected > 0);

@@ -162,6 +162,8 @@ let rejections =
     ("fabrics not canonical", "{\"id\":\"e\",\"op\":\"explore\",\"fabrics\":[\"+4x4\"],\"islands\":[\"0b10x2\"]}");
     ("islands not canonical", "{\"id\":\"e\",\"op\":\"explore\",\"fabrics\":[\"4x4\"],\"islands\":[\"0b10x2\"]}");
     ("backend seed not canonical", "{\"id\":\"m\",\"op\":\"map\",\"kernel\":\"fir\",\"backend\":\"sa:07\"}");
+    ("backend sa+dijkstra", "{\"id\":\"m\",\"op\":\"map\",\"kernel\":\"fir\",\"backend\":\"sa+dijkstra:3\"}");
+    ("fault faults past the bound", "{\"id\":\"f\",\"op\":\"fault\",\"faults\":10001}");
     ("order: frame fields first", "{\"id\":\"x\",\"op\":\"fly\",\"deadline_ms\":-1,\"tenant\":\"\",\"qos\":\"gold\"}");
     ("order: tenant before qos", "{\"id\":\"x\",\"op\":\"ping\",\"tenant\":\"\",\"qos\":\"gold\"}");
     ("order: map", "{\"id\":\"x\",\"op\":\"map\",\"point\":7,\"backend\":7}");
@@ -352,6 +354,10 @@ let expected =
       "{\"id\":\"e\",\"status\":\"invalid\",\"error\":\"field \\\"islands\\\": expected dimensions \\\"RxC\\\"\"}" );
     ( "response invalid: backend seed not canonical",
       "{\"id\":\"m\",\"status\":\"invalid\",\"error\":\"field \\\"backend\\\": unknown mapper backend \\\"sa:07\\\" (expected default, sa, sa:<seed>, or pathfinder)\"}" );
+    ( "response invalid: backend sa+dijkstra",
+      "{\"id\":\"m\",\"status\":\"invalid\",\"error\":\"field \\\"backend\\\": unknown mapper backend \\\"sa+dijkstra:3\\\" (expected default, sa, sa:<seed>, or pathfinder)\"}" );
+    ( "response invalid: fault faults past the bound",
+      "{\"id\":\"f\",\"status\":\"invalid\",\"error\":\"field \\\"faults\\\" must be <= 10000\"}" );
     ( "response invalid: order: frame fields first",
       "{\"id\":\"x\",\"status\":\"invalid\",\"error\":\"field \\\"deadline_ms\\\" must be >= 0\"}" );
     ( "response invalid: order: tenant before qos",
