@@ -283,8 +283,9 @@ let max_ii_arg =
 
 let budget_conflicts_arg =
   Arg.(value & opt int 100_000 & info [ "budget-conflicts" ] ~docv:"N"
-         ~doc:"CDCL conflict budget per candidate II, shared across CEGAR \
-               re-solves at that II.")
+         ~doc:"CDCL conflict budget per candidate II and stage (narrow \
+               windows first, then the wide CNF that refutes), shared \
+               across that stage's CEGAR re-solves.")
 
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"

@@ -3,8 +3,10 @@ open Iced_dfg
 module Solver = Iced_sat.Solver
 module Card = Iced_sat.Card
 
+type rule = Wide | Narrow
+
 (* Per-node variable block.  [dom] lists the allowed tiles; [x.(i)]
-   chooses [dom.(i)].  The schedule window is [lo .. horizon - 1]:
+   chooses [dom.(i)].  The schedule window is [lo .. hi - 1]:
    [s.(t - lo)] says "executes at absolute cycle t", [ge.(t - lo)]
    says "executes at cycle t or later" (order encoding), and
    [slot.(k)] says "executes in modulo slot k". *)
@@ -12,6 +14,7 @@ type node_vars = {
   dom : int array;
   x : int array;
   lo : int;
+  hi : int;
   s : int array;
   ge : int array;
   slot : int array;
@@ -20,13 +23,15 @@ type node_vars = {
 type t = {
   solver : Solver.t;
   ii : int;
-  horizon : int;
   order : int list;
   vars : (int, node_vars) Hashtbl.t;
 }
 
 let solver t = t.solver
-let horizon t = t.horizon
+
+let window t n =
+  let nv = Hashtbl.find t.vars n in
+  (nv.lo, nv.hi)
 
 (* Cap on the schedule horizon (and so on encoding size).  Kernels the
    oracle targets sit far below it; past the cap we decline to encode
@@ -34,7 +39,20 @@ let horizon t = t.horizon
    with hundreds of thousands of clauses. *)
 let max_horizon = 512
 
-let build cgra g ~ii =
+(* [n] and every node with a path to [n] over any edge, carried ones
+   included. *)
+let ancestors g n =
+  let seen = Hashtbl.create 16 in
+  let rec visit m =
+    if not (Hashtbl.mem seen m) then begin
+      Hashtbl.replace seen m ();
+      List.iter (fun (e : Graph.edge) -> visit e.src) (Graph.predecessors g m)
+    end
+  in
+  visit n;
+  seen
+
+let build cgra g ~ii ~rule =
   match Graph.intra_topological g with
   | None -> Error "intra-iteration dependences form a cycle"
   | Some order ->
@@ -45,22 +63,33 @@ let build cgra g ~ii =
         (Graph.edges g)
     in
     let diameter = cgra.Cgra.rows - 1 + (cgra.Cgra.cols - 1) in
+    let weight e = max 0 (1 + diameter - Mapping.edge_slack g ~ii e) in
     (* Least-solution bound: in the latency constraint graph
        (t_v - t_u >= 1 + manhattan - slack per edge) every feasible
        tile assignment admits the least schedule, whose values are
        bounded by the sum of positive edge weights — cycles all have
        non-positive weight or the instance is infeasible anyway. *)
-    let hbound =
-      List.fold_left
-        (fun acc e -> acc + max 0 (1 + diameter - Mapping.edge_slack g ~ii e))
-        1 edges
+    let sum_weights keep =
+      List.fold_left (fun acc e -> if keep e then acc + weight e else acc) 1 edges
     in
-    let horizon = max hbound (ii + diameter + 1) in
+    let floor = ii + diameter + 1 in
+    let horizon = max (sum_weights (fun _ -> true)) floor in
     if horizon > max_horizon then
       Error
         (Printf.sprintf "schedule horizon %d exceeds the %d cap" horizon
            max_horizon)
     else begin
+      (* The narrow bound sums only the weights of edges among the
+         node's ancestors (an edge into an ancestor starts at one), the
+         part of the constraint graph its least time depends on. *)
+      let hi_of n =
+        match rule with
+        | Wide -> horizon
+        | Narrow ->
+          let anc = ancestors g n in
+          min horizon
+            (max floor (sum_weights (fun (e : Graph.edge) -> Hashtbl.mem anc e.dst)))
+      in
       let s = Solver.create () in
       let tiles = Array.init (Cgra.tile_count cgra) (fun i -> i) in
       let memory_tiles = Array.of_list (Cgra.memory_tiles cgra) in
@@ -87,13 +116,13 @@ let build cgra g ~ii =
             if Op.needs_memory (Graph.node g n).op then memory_tiles
             else tiles
           in
-          let lo = Hashtbl.find lo_tbl n in
-          let w = max 0 (horizon - lo) in
+          let lo = Hashtbl.find lo_tbl n and hi = hi_of n in
+          let w = max 0 (hi - lo) in
           let x = Array.map (fun _ -> Solver.new_var s) dom in
           let sv = Array.init w (fun _ -> Solver.new_var s) in
           let ge = Array.init w (fun _ -> Solver.new_var s) in
           let slot = Array.init ii (fun _ -> Solver.new_var s) in
-          Hashtbl.replace vars n { dom; x; lo; s = sv; ge; slot };
+          Hashtbl.replace vars n { dom; x; lo; hi; s = sv; ge; slot };
           (* one tile, one cycle *)
           Card.exactly_one s (Array.to_list (Array.map Solver.pos x));
           Card.exactly_one s (Array.to_list (Array.map Solver.pos sv));
@@ -166,27 +195,27 @@ let build cgra g ~ii =
             done
           end;
           (* S(u, t) (and DGE(e, d) for d >= 1) forces GE(v, t + 1 + d
-             - slack), or is false outright when that is past the
-             horizon *)
+             - slack), or is false outright when that reaches v's upper
+             bound *)
           for d = 0 to Array.length dge do
             for i = 0 to Array.length uv.s - 1 do
               let bound = uv.lo + i + 1 + d - slack in
               if bound > vv.lo then begin
                 let su = Solver.neg uv.s.(i) in
                 if d = 0 then
-                  if bound < horizon then
+                  if bound < vv.hi then
                     Solver.add_clause s [ su; Solver.pos vv.ge.(bound - vv.lo) ]
                   else Solver.add_clause s [ su ]
                 else
                   let far = Solver.neg dge.(d - 1) in
-                  if bound < horizon then
+                  if bound < vv.hi then
                     Solver.add_clause s [ far; su; Solver.pos vv.ge.(bound - vv.lo) ]
                   else Solver.add_clause s [ far; su ]
               end
             done
           done)
         edges;
-      Ok { solver = s; ii; horizon; order; vars }
+      Ok { solver = s; ii; order; vars }
     end
 
 let decode t =

@@ -1,10 +1,11 @@
 (** CNF encoding of modulo-scheduled place-and-route at a fixed II.
 
-    The encoding is the {e necessary-condition relaxation} the exact
-    oracle ({!Exact.certify}) refutes IIs with: every valid mapping at
-    II (in the sense of {!Validate.check}) induces a satisfying
-    assignment, so [Unsat] proves the II infeasible.  A model fixes a
-    tile and an absolute cycle per node such that
+    Under the {!Wide} window rule the encoding is the
+    {e necessary-condition relaxation} the exact oracle
+    ({!Exact.certify}) refutes IIs with: every valid mapping at II (in
+    the sense of {!Validate.check}) induces a satisfying assignment, so
+    [Unsat] proves the II infeasible.  A model fixes a tile and an
+    absolute cycle per node such that
 
     - every node sits on one allowed tile (memory ops on memory tiles);
     - no two nodes share a tile in the same modulo slot (FU
@@ -32,19 +33,40 @@
 open Iced_arch
 open Iced_dfg
 
+(** How far each node's schedule window reaches.  Every window starts
+    at the node's intra-iteration ASAP time.  Both rules share the
+    global bound [H]: the least-solution bound of the latency
+    constraint graph (one plus the sum over edges of
+    [max 0 (1 + diameter - slack)]), floored at [II + diameter + 1]. *)
+type rule =
+  | Wide
+      (** every node ends at [H]: any feasible mapping can be retimed
+          (uniform shift plus per-node tightening to the least
+          solution of the latency constraints) to fit below it, so
+          [Unsat] refutes the II *)
+  | Narrow
+      (** node [n] ends at [min H (max (II + diameter + 1) (1 + sum))],
+          the sum of the same edge weights running only over the edges
+          whose two endpoints lie in [n]'s ancestry ([n] and every node
+          with a path to [n] over any edge, carried ones included).
+          The CNF is much smaller; its models are routed and validated
+          like any other, but its [Unsat] proves nothing *)
+
 type t
 
-val build : Cgra.t -> Graph.t -> ii:int -> (t, string) result
-(** Clausify the relaxation.  [Error] only for structural reasons
-    (intra-iteration cycle, or a schedule horizon beyond the size cap);
-    an over-constrained instance (e.g. a memory op with no memory tile)
-    builds fine and is simply unsatisfiable. *)
+val build : Cgra.t -> Graph.t -> ii:int -> rule:rule -> (t, string) result
+(** Clausify the relaxation with the given window rule.  [Error] only
+    for structural reasons (intra-iteration cycle, or [H] beyond the
+    size cap of 512, under either rule); an over-constrained instance
+    (e.g. a memory op with no memory tile) builds fine and is simply
+    unsatisfiable. *)
 
 val solver : t -> Iced_sat.Solver.t
-val horizon : t -> int
-(** Exclusive upper bound on schedule times: any feasible mapping can
-    be retimed (uniform shift plus per-node tightening to the least
-    solution of the latency constraints) to fit below it. *)
+
+val window : t -> int -> int * int
+(** [window t n] is [(lo, hi)]: node [n] is scheduled at a cycle in
+    [lo .. hi - 1].  @raise Not_found if [n] is not a node of the
+    graph. *)
 
 val decode : t -> (int * (int * int)) list
 (** [(node, (tile, time))] per node, sorted by node id — read directly

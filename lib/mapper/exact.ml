@@ -287,41 +287,54 @@ type cegar = {
    kernels whose port congestion the relaxation cannot see, refuting a
    placement costs almost no conflicts, so the conflict budget alone
    would let the loop churn through tens of thousands of near-identical
-   models; rounds are therefore capped separately. *)
+   models; rounds are therefore capped separately, per stage: the wide
+   CNF, whose outcome is final, gets [max_route_blocks_per_ii] rounds,
+   and the narrow one, which only looks for a witness first, gets
+   [narrow_route_blocks] before handing the II on. *)
 let max_route_blocks_per_ii = 1_000
+let narrow_route_blocks = 32
 
-(* Decide one II: build the relaxation, then alternate solving and
-   routing until a model routes, the CNF is refuted, or the conflict
-   budget is spent. *)
-let decide_ii ?stats cgra g ~ii ~budget ~seed (c : cegar) =
+let no_stats =
+  { Solver.conflicts = 0; decisions = 0; propagations = 0; restarts = 0; learned = 0 }
+
+let add_stats (a : Solver.stats) (b : Solver.stats) =
+  {
+    Solver.conflicts = a.conflicts + b.conflicts;
+    decisions = a.decisions + b.decisions;
+    propagations = a.propagations + b.propagations;
+    restarts = a.restarts + b.restarts;
+    learned = a.learned + b.learned;
+  }
+
+(* One stage: build the CNF under [rule], then alternate solving and
+   routing until a model routes, the CNF is refuted, the conflict
+   budget is spent or [max_blocks] models were blocked. *)
+let run_stage ?stats cgra g ~ii ~budget ~seed ~rule ~max_blocks (c : cegar) =
   let built =
     Obs.span
-      ~result:(function
+      ~result:(fun r ->
+        ( "window",
+          Obs.Str (match rule with Encode.Wide -> "wide" | Encode.Narrow -> "narrow") )
+        ::
+        (match r with
         | Ok enc ->
           let s = Encode.solver enc in
           [ ("vars", Obs.Int (Solver.var_count s)); ("clauses", Obs.Int (Solver.clause_count s)) ]
-        | Error msg -> [ ("error", Obs.Str msg) ])
+        | Error msg -> [ ("error", Obs.Str msg) ]))
       ~cat:"exact" ~name:"encode"
-      (fun () -> Encode.build cgra g ~ii)
+      (fun () -> Encode.build cgra g ~ii ~rule)
   in
   match built with
   | Error _ ->
     (* structurally too large to encode: undecided, like a budget *)
-    ( `Budget,
-      {
-        Solver.conflicts = 0;
-        decisions = 0;
-        propagations = 0;
-        restarts = 0;
-        learned = 0;
-      } )
+    (`Budget, no_stats)
   | Ok enc ->
     let s = Encode.solver enc in
     let start_conflicts = (Solver.stats s).Solver.conflicts in
     let rec loop blocks =
       let spent = (Solver.stats s).Solver.conflicts - start_conflicts in
       let remaining = budget - spent in
-      if remaining <= 0 || blocks >= max_route_blocks_per_ii then `Budget
+      if remaining <= 0 || blocks >= max_blocks then `Budget
       else
         let before = (Solver.stats s).Solver.conflicts in
         match
@@ -364,6 +377,25 @@ let decide_ii ?stats cgra g ~ii ~budget ~seed (c : cegar) =
         t.Telemetry.sat_propagations + st.Solver.propagations
     | None -> ());
     (outcome, Solver.stats s)
+
+(* Decide one II in two stages.  The narrow CNF only looks for a
+   witness: it is accepted when a model routes and validates, and any
+   other end (UNSAT, the round cap, the budget) hands the II to the
+   wide CNF with the full budget again, whose outcome is final.  So
+   every refutation comes from the wide CNF, and a narrow witness is a
+   mapping like any other. *)
+let decide_ii ?stats cgra g ~ii ~budget ~seed c =
+  match
+    run_stage ?stats cgra g ~ii ~budget ~seed ~rule:Encode.Narrow
+      ~max_blocks:narrow_route_blocks c
+  with
+  | (`Feasible _, _) as found -> found
+  | (`Refuted | `Budget), narrow ->
+    let outcome, wide =
+      run_stage ?stats cgra g ~ii ~budget ~seed ~rule:Encode.Wide
+        ~max_blocks:max_route_blocks_per_ii c
+    in
+    (outcome, add_stats narrow wide)
 
 let certify ?(max_ii = 16) ?(budget_conflicts = 100_000) ?(seed = 0) ?stats
     cgra g =

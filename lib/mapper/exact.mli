@@ -12,8 +12,12 @@
       solver under a conflict budget, routes each model with the real
       {!Router} (blocking unroutable placements, CEGAR-style), and
       returns a {!Validate.check}-clean witness mapping at the first
-      feasible II.  An [Unsat] answer is a proof of infeasibility at
-      that II, so [Optimal] verdicts are certificates.
+      feasible II.  Each II is tried first over {!Encode.Narrow}
+      windows, which only look for a witness, and, unless one routes
+      and validates, over {!Encode.Wide} windows, whose outcome is
+      final.  An [Unsat] answer of the wide CNF is a proof of
+      infeasibility at that II, so [Optimal] verdicts are
+      certificates.
 
     Both report through the same {!verdict}: [Optimal] only when every
     lower II was refuted outright; if any lower II ran out of budget
@@ -55,6 +59,9 @@ type report = {
   vars : int;  (** variables of the largest encoding built *)
   clauses : int;  (** problem clauses of the largest encoding built *)
 }
+(** The solver counters and [route_blocks] are summed over both stages
+    of every II tried; [vars] and [clauses] are a maximum over all the
+    encodings built. *)
 
 val minimal_ii :
   ?max_ii:int -> ?budget:int -> Cgra.t -> Graph.t -> verdict
@@ -71,8 +78,10 @@ val certify :
   Graph.t ->
   report
 (** SAT-backed certification.  [max_ii] defaults to 16;
-    [budget_conflicts] (CDCL conflicts per II, shared by CEGAR rounds)
-    defaults to 100_000; [seed] (default 0) fixes solver phases.  The
+    [budget_conflicts] (CDCL conflicts per II and stage, shared by
+    that stage's CEGAR rounds: the wide stage gets the whole budget
+    again whatever the narrow one spent) defaults to 100_000; [seed]
+    (default 0) fixes solver phases in both stages.  The
     whole run is deterministic: same DFG, fabric, budget and seed give
     the identical report.  When [stats] is given, solver counters are
     merged into it ([sat_conflicts] and friends) along with router

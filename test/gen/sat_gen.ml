@@ -13,9 +13,11 @@
 
    Instances:
    - encode/<kernel>/ii<N>: Encode.build of every standalone kernel on
-     the 6x6 fabric at its lower-bound II, solved under a conflict
+     the 6x6 fabric one above its lower-bound II under the wide window
+     rule (the CNF the oracle refutes with), solved under a conflict
      budget; a Sat answer is followed by Encode.block of the decoded
-     model and one more solve (/block);
+     model and one more solve (/block); then the same kernel and II
+     under the narrow rule, solved once (/narrow);
    - php/<p>x<h>: pigeonhole with p pigeons in h holes, 3 to 7 holes,
      both p = h + 1 (unsat) and p = h (sat), with the pairwise and the
      ladder at-most-one encodings;
@@ -73,16 +75,25 @@ let encode_lines () =
       let g = k.dfg in
       let ii = 1 + Iced_dfg.Analysis.min_ii g ~tiles:(Iced_arch.Cgra.tile_count cgra) in
       let tag = Printf.sprintf "encode/%s/ii%d" k.name ii in
-      match Encode.build cgra g ~ii with
-      | Error msg -> [ Printf.sprintf "%s\terror\t%s" tag msg ]
-      | Ok enc -> (
-        let s = Encode.solver enc in
-        match solve_line ~budget:encode_budget tag s with
-        | Solver.Sat, line ->
-          Encode.block enc (Encode.decode enc);
-          let _, again = solve_line ~budget:encode_budget (tag ^ "/block") s in
-          [ line; again ]
-        | _, line -> [ line ]))
+      let wide =
+        match Encode.build cgra g ~ii ~rule:Encode.Wide with
+        | Error msg -> [ Printf.sprintf "%s\terror\t%s" tag msg ]
+        | Ok enc -> (
+          let s = Encode.solver enc in
+          match solve_line ~budget:encode_budget tag s with
+          | Solver.Sat, line ->
+            Encode.block enc (Encode.decode enc);
+            let _, again = solve_line ~budget:encode_budget (tag ^ "/block") s in
+            [ line; again ]
+          | _, line -> [ line ])
+      in
+      let tag = tag ^ "/narrow" in
+      let narrow =
+        match Encode.build cgra g ~ii ~rule:Encode.Narrow with
+        | Error msg -> Printf.sprintf "%s\terror\t%s" tag msg
+        | Ok enc -> snd (solve_line ~budget:encode_budget tag (Encode.solver enc))
+      in
+      wide @ [ narrow ])
     Iced_kernels.Registry.standalone
 
 (* ------------------------------------------------------------------ *)
@@ -177,7 +188,8 @@ let rand_lines ~count =
 (* ------------------------------------------------------------------ *)
 (* Exact.certify *)
 
-let certify_kernels = [ "fir"; "latnrm"; "dtw"; "spmv"; "relu"; "histogram"; "mvt"; "gemm" ]
+let certify_kernels =
+  [ "fir"; "latnrm"; "dtw"; "spmv"; "conv"; "relu"; "histogram"; "mvt"; "gemm" ]
 
 let witness_hash (m : Iced_mapper.Mapping.t) =
   let h = ref Fnv.offset_basis in

@@ -604,6 +604,81 @@ let test_certify_budget_reports_first_undecided () =
   Alcotest.(check bool) "every II undecided" true
     (List.for_all (fun (_, o) -> o = Exact.Ii_budget) r.Exact.per_ii)
 
+(* The chain a -> b -> c -> d with a carried edge c -> b, plus an
+   isolated e, on 4x4 (diameter 6) at II 2: distance-0 edges weigh
+   1 + 6 = 7 and the carried one 1 + 6 - 2 = 5, so H = 1 + 3 * 7 + 5
+   = 27 and the floor is II + diameter + 1 = 9.  The carried edge puts
+   c among b's ancestors: b and c sum a -> b, b -> c and c -> b. *)
+let test_encode_windows () =
+  let g = Graph.empty in
+  let g, a = Graph.add_node g Op.Add in
+  let g, b = Graph.add_node g Op.Add in
+  let g, c = Graph.add_node g Op.Add in
+  let g, d = Graph.add_node g Op.Add in
+  let g, e = Graph.add_node g Op.Add in
+  let g = Graph.add_edge g a b in
+  let g = Graph.add_edge g b c in
+  let g = Graph.add_edge g c d in
+  let g = Graph.add_edge ~distance:1 g c b in
+  let cgra = Cgra.make ~rows:4 ~cols:4 () in
+  let build rule =
+    match Encode.build cgra g ~ii:2 ~rule with
+    | Ok enc -> enc
+    | Error msg -> Alcotest.fail msg
+  in
+  let narrow = build Encode.Narrow and wide = build Encode.Wide in
+  let horizon = 27 and floor = 9 in
+  List.iter
+    (fun (name, n, lo, hi) ->
+      Alcotest.(check (pair int int)) (name ^ " narrow") (lo, hi) (Encode.window narrow n);
+      Alcotest.(check (pair int int)) (name ^ " wide") (lo, horizon) (Encode.window wide n);
+      Alcotest.(check bool) (name ^ " narrow within H") true (hi <= horizon))
+    [
+      ("a", a, 0, floor);
+      ("b", b, 1, 1 + 7 + 7 + 5);
+      ("c", c, 2, 1 + 7 + 7 + 5);
+      ("d", d, 3, horizon);
+      ("e", e, 0, floor);
+    ];
+  Alcotest.(check bool) "narrow CNF is smaller" true
+    (Iced_sat.Solver.var_count (Encode.solver narrow)
+    < Iced_sat.Solver.var_count (Encode.solver wide))
+
+(* The ROADMAP invariant on seeded synthetic graphs: wherever the
+   oracle certifies an optimum no backend maps below it, and an
+   infeasible verdict means no backend maps at any II the oracle
+   tried.  Seeds 1-4 of rand12/16/20 on 4x4 and 6x6; seeds 5 and 6
+   add rand20x5 on 4x4, an unknown that spends ~4 s on its route-block
+   cap and checks nothing. *)
+let test_certify_sound_on_synthetic () =
+  let max_ii = 16 in
+  List.iter
+    (fun size ->
+      let cgra = Cgra.make ~rows:size ~cols:size () in
+      List.iter
+        (fun nodes ->
+          List.iter
+            (fun seed ->
+              let g = Iced_kernels.Synth.dfg ~nodes ~seed in
+              let r = Exact.certify ~max_ii ~budget_conflicts:20_000 cgra g in
+              List.iter
+                (fun backend ->
+                  let ctx =
+                    Printf.sprintf "%s on %dx%d, %s" (Iced_kernels.Synth.name ~nodes ~seed) size
+                      size (Backend.to_string backend)
+                  in
+                  match (r.Exact.verdict, Mapper.map (Mapper.request ~backend ~max_ii cgra) g) with
+                  | Exact.Optimal opt, Ok m ->
+                    if m.Mapping.ii < opt then
+                      Alcotest.failf "%s: II %d below certified optimum %d" ctx m.Mapping.ii opt
+                  | Exact.Infeasible, Ok m ->
+                    Alcotest.failf "%s: maps at II %d, oracle says infeasible" ctx m.Mapping.ii
+                  | _ -> ())
+                [ Backend.default; Backend.sa; Backend.pathfinder ])
+            [ 1; 2; 3; 4 ])
+        [ 12; 16; 20 ])
+    [ 4; 6 ]
+
 let test_legacy_unknown_reports_first_undecided () =
   (* II = 2 is refuted only by an exhaustive search that blows a tiny
      attempt budget; II = 3 is found within it.  The verdict must name
@@ -1053,4 +1128,7 @@ let suite =
      test_validate_unslotted_and_off_fabric);
     ("levels: an off-fabric critical node is assigned, not raised", `Quick,
      test_levels_off_fabric);
+    ("encode: narrow windows follow the ancestry rule", `Quick, test_encode_windows);
+    ("certify: no backend beats a verdict on seeded graphs", `Slow,
+     test_certify_sound_on_synthetic);
   ]
