@@ -10,20 +10,33 @@ type kind_class = Tile | Link | Island | Upset
 
 type event = { at_input : int; fault : kind }
 
-type plan = { seed : int; events : event list }
+type plan = { seed : int; events : event list; by_input : event array }
 
-let none = { seed = 0; events = [] }
+let none = { seed = 0; events = []; by_input = [||] }
 
 let make ?(seed = 0) events =
   List.iter
     (fun e -> if e.at_input < 0 then invalid_arg "Fault.make: negative input index")
     events;
-  { seed; events = List.stable_sort (fun a b -> compare a.at_input b.at_input) events }
+  let events = List.stable_sort (fun a b -> compare a.at_input b.at_input) events in
+  { seed; events; by_input = Array.of_list events }
 
 let is_empty plan = plan.events = []
 
+(* Binary search for the first event at or after input [i], then the
+   run of events at [i], in plan order. *)
 let events_at plan i =
-  List.filter_map (fun e -> if e.at_input = i then Some e.fault else None) plan.events
+  let a = plan.by_input in
+  let rec first lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid).at_input < i then first (mid + 1) hi else first lo mid
+  in
+  let rec run k =
+    if k < Array.length a && a.(k).at_input = i then a.(k).fault :: run (k + 1) else []
+  in
+  run (first 0 (Array.length a))
 
 let permanent = function
   | Tile_dead _ | Link_broken _ | Island_down _ -> true

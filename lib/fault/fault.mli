@@ -40,9 +40,14 @@ type kind_class = Tile | Link | Island | Upset
 type event = { at_input : int; fault : kind }
 (** Injection scheduled just before stream input [at_input]. *)
 
-type plan = { seed : int; events : event list }
+type plan = private {
+  seed : int;
+  events : event list;  (** sorted by [at_input], stable *)
+  by_input : event array;  (** [events] as an array, searched by {!events_at} *)
+}
 (** [seed] also feeds the upset draws during execution, so two plans
-    with equal events but different seeds upset different inputs. *)
+    with equal events but different seeds upset different inputs.
+    Built only by {!make} (and {!none}), which keep the events sorted. *)
 
 val none : plan
 (** The empty plan: a fault-aware run under [none] must be
@@ -55,7 +60,10 @@ val make : ?seed:int -> event list -> plan
 val is_empty : plan -> bool
 
 val events_at : plan -> int -> kind list
-(** Faults injected just before input [i] is consumed. *)
+(** Faults injected just before input [i] is consumed, in plan order:
+    the events of [plan.events] whose [at_input] is [i].  A binary
+    search over [by_input], so asking once per input of a stream costs
+    [log faults] per input instead of a pass over the whole plan. *)
 
 val permanent : kind -> bool
 (** Tile, link, and regulator faults are permanent; upsets are not. *)

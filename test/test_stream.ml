@@ -428,6 +428,26 @@ let test_app_streams_are_prefixes () =
         [ 1; 12; size ])
     [ (Iced_stream.App.Gcn, 600); (Iced_stream.App.Lu, 150) ]
 
+(* The runner asks a fault plan for each input's events; the indexed
+   lookup must give exactly the filter over the plan's events, in plan
+   order, including inputs with several events and none. *)
+let prop_events_at_is_filter =
+  let module Fault = Iced_fault.Fault in
+  QCheck.Test.make ~name:"fault plan: events_at = filter over events" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 40) (pair (int_bound 12) (int_bound 35)))
+    (fun raw ->
+      let plan =
+        Fault.make
+          (List.map (fun (at_input, tile) -> { Fault.at_input; fault = Fault.Tile_dead tile }) raw)
+      in
+      List.for_all
+        (fun i ->
+          Fault.events_at plan i
+          = List.filter_map
+              (fun (e : Fault.event) -> if e.at_input = i then Some e.fault else None)
+              plan.Fault.events)
+        (List.init 16 (fun i -> i - 1)))
+
 let suite =
   [
     ("workload: enzyme stream", `Quick, test_enzyme_stream);
@@ -462,4 +482,5 @@ let suite =
     ("lu: iced beats drips (Fig. 13)", `Slow, test_lu_iced_beats_drips);
     ("partition: candidates priced like a fresh per_tile", `Slow, test_candidates_priced);
     ("app: counted streams are prefixes", `Quick, test_app_streams_are_prefixes);
+    QCheck_alcotest.to_alcotest prop_events_at_is_filter;
   ]
