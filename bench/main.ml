@@ -747,7 +747,10 @@ let mapper_bench () =
                   string_of_bool deterministic ];
               J.Obj
                 [ ("backend", J.Str name); ("ok", J.Bool ok); ("ii", J.int ii);
-                  ("wall_s", J.Num stats.Mapper.wall_s); ("deterministic", J.Bool deterministic) ])
+                  ("wall_s", J.Num stats.Mapper.wall_s); ("deterministic", J.Bool deterministic);
+                  ("attempts", J.int stats.Mapper.attempts);
+                  ("route_calls", J.int stats.Mapper.route_calls);
+                  ("pf_rounds", J.int stats.Mapper.pf_rounds) ])
             [ Iced_mapper.Backend.default; Iced_mapper.Backend.sa;
               Iced_mapper.Backend.pathfinder ]
         in
