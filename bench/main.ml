@@ -419,15 +419,15 @@ let fig14 () =
 
 let ablation () =
   let variants =
-    [ ("full iced", Iced_mapper.Mapper.all_knobs);
+    [ ("full iced", Iced_mapper.Cost.all_knobs);
       ("no island affinity",
-       { Iced_mapper.Mapper.all_knobs with Iced_mapper.Mapper.island_affinity = false });
-      ("no packing", { Iced_mapper.Mapper.all_knobs with Iced_mapper.Mapper.packing = false });
+       { Iced_mapper.Cost.all_knobs with Iced_mapper.Cost.island_affinity = false });
+      ("no packing", { Iced_mapper.Cost.all_knobs with Iced_mapper.Cost.packing = false });
       ("no phase alignment",
-       { Iced_mapper.Mapper.all_knobs with Iced_mapper.Mapper.phase_alignment = false });
+       { Iced_mapper.Cost.all_knobs with Iced_mapper.Cost.phase_alignment = false });
       ("no conventional fallback",
-       { Iced_mapper.Mapper.all_knobs with
-         Iced_mapper.Mapper.conventional_fallback = false }) ]
+       { Iced_mapper.Cost.all_knobs with
+         Iced_mapper.Cost.conventional_fallback = false }) ]
   in
   let t =
     Table.create ~title:"Ablation: ICED mapping features (means over 10 kernels, uf1, 6x6)"
@@ -610,6 +610,7 @@ let perf () =
 
 let mapper_bench () =
   let module Mapper = Iced_mapper.Mapper in
+  let module Telemetry = Iced_mapper.Telemetry in
   let module Router = Iced_mapper.Router in
   let selected =
     match Sys.getenv_opt "ICED_BENCH_KERNELS" with
@@ -670,26 +671,26 @@ let mapper_bench () =
           None
         | Ok m ->
           let alloc = allocated_bytes () -. before in
-          let routes = max 1 stats.Mapper.route_calls in
+          let routes = max 1 stats.Telemetry.route_calls in
           Table.add_row t
             [ k.name;
               string_of_int m.Iced_mapper.Mapping.ii;
-              Printf.sprintf "%.2f" (stats.Mapper.wall_s *. 1e3);
+              Printf.sprintf "%.2f" (stats.Telemetry.wall_s *. 1e3);
               Printf.sprintf "%.2f" (alloc /. 1048576.0);
-              string_of_int stats.Mapper.route_calls;
+              string_of_int stats.Telemetry.route_calls;
               Printf.sprintf "%.1f" (alloc /. float_of_int routes /. 1024.0);
-              string_of_int stats.Mapper.expansions;
-              string_of_int stats.Mapper.placements_tried ];
+              string_of_int stats.Telemetry.expansions;
+              string_of_int stats.Telemetry.placements_tried ];
           Some
             (J.Obj
                [ ("kernel", J.Str k.name); ("ii", J.int m.Iced_mapper.Mapping.ii);
-                 ("wall_s", J.Num stats.Mapper.wall_s); ("alloc_bytes", J.Num alloc);
-                 ("route_calls", J.int stats.Mapper.route_calls);
+                 ("wall_s", J.Num stats.Telemetry.wall_s); ("alloc_bytes", J.Num alloc);
+                 ("route_calls", J.int stats.Telemetry.route_calls);
                  ("alloc_per_route", J.Num (alloc /. float_of_int routes));
-                 ("expansions", J.int stats.Mapper.expansions);
-                 ("placements_tried", J.int stats.Mapper.placements_tried);
-                 ("attempts", J.int stats.Mapper.attempts);
-                 ("ii_bumps", J.int stats.Mapper.ii_bumps) ]))
+                 ("expansions", J.int stats.Telemetry.expansions);
+                 ("placements_tried", J.int stats.Telemetry.placements_tried);
+                 ("attempts", J.int stats.Telemetry.attempts);
+                 ("ii_bumps", J.int stats.Telemetry.ii_bumps) ]))
       selected
   in
   Table.print t;
@@ -743,14 +744,14 @@ let mapper_bench () =
               Table.add_row st
                 [ k.name; name; string_of_bool ok;
                   (if ok then string_of_int ii else "-");
-                  Printf.sprintf "%.1f" (stats.Mapper.wall_s *. 1e3);
+                  Printf.sprintf "%.1f" (stats.Telemetry.wall_s *. 1e3);
                   string_of_bool deterministic ];
               J.Obj
                 [ ("backend", J.Str name); ("ok", J.Bool ok); ("ii", J.int ii);
-                  ("wall_s", J.Num stats.Mapper.wall_s); ("deterministic", J.Bool deterministic);
-                  ("attempts", J.int stats.Mapper.attempts);
-                  ("route_calls", J.int stats.Mapper.route_calls);
-                  ("pf_rounds", J.int stats.Mapper.pf_rounds) ])
+                  ("wall_s", J.Num stats.Telemetry.wall_s); ("deterministic", J.Bool deterministic);
+                  ("attempts", J.int stats.Telemetry.attempts);
+                  ("route_calls", J.int stats.Telemetry.route_calls);
+                  ("pf_rounds", J.int stats.Telemetry.pf_rounds) ])
             [ Iced_mapper.Backend.default; Iced_mapper.Backend.sa;
               Iced_mapper.Backend.pathfinder ]
         in

@@ -202,12 +202,12 @@ let print_mapper_stats ~json (kernel : Iced_kernels.Kernel.t) stats =
       (J.to_string
          (J.Obj
             [ ("kernel", J.Str kernel.name);
-              ("mapper_stats", Iced_mapper.Mapper.stats_to_json stats) ]))
+              ("mapper_stats", Iced_mapper.Telemetry.to_json stats) ]))
   else begin
     let t =
       Iced_util.Table.create ~title:"mapper telemetry" ~columns:[ "counter"; "value" ]
     in
-    let open Iced_mapper.Mapper in
+    let open Iced_mapper.Telemetry in
     Iced_util.Table.add_row t [ "attempts (II x margin)"; string_of_int stats.attempts ];
     Iced_util.Table.add_row t [ "II bumps"; string_of_int stats.ii_bumps ];
     Iced_util.Table.add_row t [ "margin ladder position"; string_of_int stats.margin_position ];
@@ -228,7 +228,7 @@ let print_mapper_stats ~json (kernel : Iced_kernels.Kernel.t) stats =
         String.concat " "
           (List.map
              (fun (ii, s) -> Printf.sprintf "II%d:%.3f" ii s)
-             (per_ii_times stats)) ];
+             (per_ii stats)) ];
     Iced_util.Table.add_row t [ "total wall (s)"; Printf.sprintf "%.3f" stats.wall_s ];
     Iced_util.Table.print t
   end

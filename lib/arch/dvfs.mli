@@ -58,3 +58,6 @@ val to_string : level -> string
 val pp : Format.formatter -> level -> unit
 val compare : level -> level -> int
 (** Orders by speed: [Power_gated] < [Rest] < [Relax] < [Normal]. *)
+
+val rank : level -> int
+(** Position in that order: [Power_gated] 0 to [Normal] 3. *)

@@ -2,7 +2,7 @@
 
     A backend is one of three presets, reachable from every user
     surface (CLI [--backend], the serve protocol's map op, sweep
-    configs); {!Search} runs the placer/router pair each one names:
+    configs); {!Mapper.map} runs the placer/router pair each one names:
 
     - [default] — greedy topological placement with as-you-go Dijkstra
       routing, the pair pinned byte-for-byte by the golden corpus;

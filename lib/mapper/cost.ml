@@ -1,5 +1,3 @@
-open Iced_arch
-
 type strategy = Conventional | Dvfs_aware
 
 type knobs = {
@@ -57,9 +55,3 @@ let asap_margins = [ 2; 4; 8; 16; 28 ]
    slow islands, so realized times run much further behind the
    estimates: give the anchor ladder more headroom. *)
 let committed_margins = [ 4; 8; 16; 32; 48 ]
-
-let rank = function
-  | Dvfs.Power_gated -> 0
-  | Dvfs.Rest -> 1
-  | Dvfs.Relax -> 2
-  | Dvfs.Normal -> 3

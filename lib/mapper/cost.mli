@@ -1,8 +1,6 @@
 (** Placement cost model: the weights and ladders Algorithm 2's greedy
-    search minimizes, factored out so the search code (see {!Search})
+    search minimizes, factored out so the search code (see {!Mapper})
     carries no magic numbers. *)
-
-open Iced_arch
 
 type strategy =
   | Conventional  (** utilization-oblivious baseline: balance load *)
@@ -50,6 +48,3 @@ val asap_margins : int list
 val committed_margins : int list
 (** Roomier ladder for committed-island mappings, whose rest-labeled
     chains run far behind the estimates. *)
-
-val rank : Dvfs.level -> int
-(** Total order on levels, slowest first (Power_gated = 0 .. Normal = 3). *)

@@ -7,40 +7,23 @@ type request = {
   cgra : Cgra.t;
   strategy : Cost.strategy;
   backend : Backend.t;
-      (* which placer/router pair the search orchestrates; the default
-         greedy+Dijkstra pair is pinned by the golden corpus *)
   tiles : int list option;
-  memory_tiles : int list option;
   label_floor : Dvfs.level;
   label_guard : int;
-      (* fault guard band: raises Algorithm 1's floor this many levels
-         so upset-prone islands keep voltage margin *)
   max_ii : int;
   knobs : Cost.knobs;
   cancel : unit -> bool;
   dead_tiles : int list;
-      (* permanently faulted tiles, removed from the sub-fabric before
-         placement (fault-aware remapping) *)
   dead_links : (int * Dir.t) list;
-      (* faulted crossbar output ports, masked in the MRRG so routing
-         plans around them *)
   commit_islands : bool;
-      (* Figure 4 study: pre-commit every island to a level from the
-         label quota before placement.  Nodes are then steered onto
-         islands of exactly their label's level (falling back to faster
-         islands only when none is feasible), a slowed tile's FU
-         occupies multiplier-many modulo slots per op, and routing
-         through a slowed tile takes multiplier-many cycles per hop —
-         the capacity/latency loss that degrades the II for islands
-         larger than 2x2. *)
 }
 
-let request ?(strategy = Cost.Dvfs_aware) ?(backend = Backend.default) ?tiles ?memory_tiles
+let request ?(strategy = Cost.Dvfs_aware) ?(backend = Backend.default) ?tiles
     ?(label_floor = Dvfs.Rest) ?(label_guard = 0) ?(max_ii = 64)
     ?(knobs = Cost.all_knobs) ?(cancel = fun () -> false) ?(dead_tiles = [])
     ?(dead_links = []) ?(commit_islands = false) cgra =
-  { cgra; strategy; backend; tiles; memory_tiles; label_floor; label_guard; max_ii;
-    knobs; cancel; dead_tiles; dead_links; commit_islands }
+  { cgra; strategy; backend; tiles; label_floor; label_guard; max_ii; knobs; cancel;
+    dead_tiles; dead_links; commit_islands }
 
 let weights = Cost.default
 let cost_wait = weights.Cost.wait
@@ -52,8 +35,6 @@ let cost_spread = weights.Cost.spread
 let cost_phase = weights.Cost.phase
 let cost_route_misphase = weights.Cost.route_misphase
 let cost_route_open_island = weights.Cost.route_open_island
-
-let rank = Cost.rank
 
 (* The greedy placer's candidate heap and the int scratch it is filled
    from, one per mapping run.  The scan fields describe the node last
@@ -170,7 +151,7 @@ let tentative_level state island = state.island_level.(island)
 (* Open [island] at [label], or raise its tentative level to [label]. *)
 let note_island state island label =
   match state.island_level.(island) with
-  | Some assigned when rank label <= rank assigned -> ()
+  | Some assigned when Dvfs.at_most label assigned -> ()
   | Some _ | None -> state.island_level.(island) <- Some label
 
 (* Commit-mode slot width of a tile: a slowed tile's op or hop covers
@@ -350,8 +331,8 @@ let tile_terms state ~label ~on_cycle ~unplaced tile =
         match tentative_level state (Cgra.island_of state.req.cgra tile) with
         | None -> cost_open_island + bias
         | Some assigned ->
-          if rank label <= rank assigned then
-            (cost_over_provision * (rank assigned - rank label)) + bias
+          let surplus = Dvfs.rank assigned - Dvfs.rank label in
+          if surplus >= 0 then (cost_over_provision * surplus) + bias
           else cost_island_raise + bias)
   in
   strategy_cost + capacity_penalty

@@ -1,11 +1,11 @@
 (** Shared placement state and cost helpers for every mapper backend.
 
     One [state] is built per (II, margin, cost-model) attempt by
-    {!Search} and handed to whichever placer/router pair the request's
-    {!Backend.t} selects.  The helpers here are the contract between
-    backends: time windows and a heap of candidate slots ordered by
-    placement cost, width-aware FU reservation against the MRRG
-    occupancy arenas, and incident-dependence routing for the
+    {!Mapper.map} and handed to whichever placer/router pair the
+    request's {!Backend.t} selects.  The helpers here are the contract
+    between backends: time windows and a heap of candidate slots
+    ordered by placement cost, width-aware FU reservation against the
+    MRRG occupancy arenas, and incident-dependence routing for the
     incremental router. *)
 
 open Iced_arch
@@ -16,24 +16,46 @@ type request = {
   cgra : Cgra.t;
   strategy : Cost.strategy;
   backend : Backend.t;
-  tiles : int list option;
-  memory_tiles : int list option;
-  label_floor : Dvfs.level;
+      (** which placer/router pair {!Mapper.map} runs; see {!Backend} *)
+  tiles : int list option;  (** sub-fabric; default: the whole fabric *)
+  label_floor : Dvfs.level;  (** lowest label Algorithm 1 may use *)
   label_guard : int;
-  max_ii : int;
+      (** fault guard band: raises Algorithm 1's floor this many levels
+          so upset-prone islands keep voltage margin
+          ({!Labeling.label}'s [guard]) *)
+  max_ii : int;  (** give up past this II *)
   knobs : Cost.knobs;
   cancel : unit -> bool;
+      (** polled before each II attempt; returning [true] aborts the
+          search with a "deadline exceeded" error — the design-space
+          sweep's per-point timeout hook, and the fault-recovery
+          remap's retry budget *)
   dead_tiles : int list;
+      (** permanently faulted tiles: removed from the sub-fabric before
+          placement, so the mapper remaps around them *)
   dead_links : (int * Dir.t) list;
+      (** faulted crossbar output ports: masked in the MRRG so routes
+          plan around them *)
   commit_islands : bool;
+      (** Figure 4 study: pre-commit every island to a level from the
+          label quota before placement.  Nodes are then steered onto
+          islands of exactly their label's level (falling back to
+          faster islands only when none is feasible), a slowed tile's
+          FU occupies multiplier-many modulo slots per op, and routing
+          through a slowed tile takes multiplier-many cycles per hop,
+          so over-large islands degrade the II *)
 }
-(** See {!Mapper.request} for field documentation. *)
+(** What to map onto.  Memory ops always go to the westmost column of
+    the placement tiles (the sub-fabric minus [dead_tiles]). *)
 
 val request : ?strategy:Cost.strategy -> ?backend:Backend.t -> ?tiles:int list ->
-  ?memory_tiles:int list -> ?label_floor:Dvfs.level -> ?label_guard:int ->
-  ?max_ii:int -> ?knobs:Cost.knobs -> ?cancel:(unit -> bool) -> ?dead_tiles:int list ->
-  ?dead_links:(int * Dir.t) list -> ?commit_islands:bool ->
-  Cgra.t -> request
+  ?label_floor:Dvfs.level -> ?label_guard:int -> ?max_ii:int -> ?knobs:Cost.knobs ->
+  ?cancel:(unit -> bool) -> ?dead_tiles:int list -> ?dead_links:(int * Dir.t) list ->
+  ?commit_islands:bool -> Cgra.t -> request
+(** A request with defaults: [Dvfs_aware], {!Backend.default} (the
+    golden-corpus-pinned greedy+Dijkstra pair), the whole fabric,
+    floor [Rest], no guard band, [max_ii] 64, {!Cost.all_knobs}, no
+    cancellation, no faulted resources. *)
 
 type candidates
 (** The greedy placer's candidate heap and the int scratch it is filled
@@ -55,8 +77,8 @@ type adjacency = { first : int array; ends : int array; periods : int array }
 type state = {
   dfg : Graph.t;
   req : request;
-  tiles : int list;
-  memory_tiles : int list;
+  tiles : int list;  (** placement tiles, ascending *)
+  memory_tiles : int list;  (** the westmost column of [tiles], ascending *)
   ii : int;
   labels : Dvfs.level array;  (** node -> Algorithm 1 label *)
   estimate : Estimate.t;
@@ -101,9 +123,6 @@ val place : state -> int -> int -> int -> unit
 
 val placements : state -> (int * (int * int)) list
 (** Every placed [(node, (tile, time))], in ascending node id. *)
-
-val rank : Dvfs.level -> int
-(** {!Cost.rank}, re-exported for backends' island bookkeeping. *)
 
 val note_island : state -> int -> Dvfs.level -> unit
 (** [note_island state island label] opens [island] at [label], or

@@ -3,19 +3,16 @@ open Iced_dfg
 module Obs = Iced_obs.Trace
 open Engine
 
-(* The attempt's tiles that a node needing memory may take, in
-   [state.tiles] order.  Built once per attempt. *)
-let memory_tiles (state : state) =
-  List.filter (fun t -> List.mem t state.memory_tiles) state.tiles
-
 (* [route = true] is the legacy fused pair: each node's incident deps
    are routed (and their ports reserved) the moment it is placed, and a
    placement that cannot route is undone and the next candidate tried.
    [route = false] places only (FU reservations + island bookkeeping),
    leaving every dependence for a whole-placement router backend. *)
-let place_node_untraced ~route ~memory_tiles state node =
+let place_node_untraced ~route state node =
   let cgra = state.req.cgra in
-  let tiles = if Op.needs_memory (Graph.node state.dfg node).op then memory_tiles else state.tiles in
+  let tiles =
+    if Op.needs_memory (Graph.node state.dfg node).op then state.memory_tiles else state.tiles
+  in
   (* Commit mode steers a node onto islands of exactly its label's
      level first, falling back to any island at least as fast when the
      exact set is empty or yields no feasible placement (e.g. a
@@ -113,22 +110,18 @@ let place_node_untraced ~route ~memory_tiles state node =
   in
   first_success "no tile sets" tile_sets
 
-let place_node_with ~route ~memory_tiles state node =
+let place_node ~route state node =
   Obs.span
     ~args:(fun () -> [ ("node", Obs.Int node) ])
     ~result:(function Ok () -> [] | Error msg -> [ ("error", Obs.Str msg) ])
     ~cat:"mapper" ~name:"place"
-    (fun () -> place_node_untraced ~route ~memory_tiles state node)
-
-let place_node ~route state node =
-  place_node_with ~route ~memory_tiles:(memory_tiles state) state node
+    (fun () -> place_node_untraced ~route state node)
 
 let place_all ~route state order =
-  let memory_tiles = memory_tiles state in
   let rec place = function
     | [] -> Ok ()
     | node :: rest -> (
-      match place_node_with ~route ~memory_tiles state node with
+      match place_node ~route state node with
       | Ok () -> place rest
       | Error msg -> Error msg)
   in

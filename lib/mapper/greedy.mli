@@ -1,8 +1,8 @@
 (** The default placer: greedy topological placement.  For each node,
     {!Engine.collect_candidates} scores the eligible tiles (every tile
-    of the attempt, or the memory tiles among them, listed once per
-    attempt), and {!Engine.pop_candidate} yields their free (tile,
-    time) slots cheapest first until one places.  A slot that fails is
+    of the attempt, or its memory tiles), and {!Engine.pop_candidate}
+    yields their free (tile, time) slots cheapest first until one
+    places.  A slot that fails is
     rolled back exactly (FU and port reservations released, island
     levels untouched) before the next pop, as the lazy candidate heap
     requires.
@@ -15,9 +15,7 @@
     backend (Pathfinder) can negotiate the wiring afterwards. *)
 
 val place_node : route:bool -> Engine.state -> int -> (unit, string) result
-(** Place one node on the cheapest feasible (tile, time) candidate.
-    Builds the eligible tile lists for this call; {!place_all} builds
-    them once for the whole order. *)
+(** Place one node on the cheapest feasible (tile, time) candidate. *)
 
 val place_all : route:bool -> Engine.state -> int list -> (unit, string) result
 (** Place every node of [order] in sequence; fails on the first node

@@ -50,12 +50,6 @@ let check ~tiles ~ii ~guard =
   if ii <= 0 then invalid_arg "Labeling.label: non-positive II";
   if guard < 0 then invalid_arg "Labeling.label: negative guard"
 
-let level_index = function
-  | Dvfs.Power_gated -> 0
-  | Dvfs.Rest -> 1
-  | Dvfs.Relax -> 2
-  | Dvfs.Normal -> 3
-
 let apply ?(floor = Dvfs.Rest) ?(guard = 0) plan ~cgra ~tiles ~ii =
   check ~tiles ~ii ~guard;
   (* Guard band for upset-prone fabrics: each guard step raises the
@@ -75,7 +69,7 @@ let apply ?(floor = Dvfs.Rest) ?(guard = 0) plan ~cgra ~tiles ~ii =
   let set id level =
     let n = slots_of_level level in
     labels.(id) <- level;
-    slots.(level_index level) <- slots.(level_index level) + n
+    slots.(Dvfs.rank level) <- slots.(Dvfs.rank level) + n
   in
   List.iter (fun id -> set id Dvfs.Normal) plan.critical;
   List.iter (fun id -> set id (clamp Dvfs.Relax)) plan.secondary;
@@ -85,7 +79,7 @@ let apply ?(floor = Dvfs.Rest) ?(guard = 0) plan ~cgra ~tiles ~ii =
     List.sort_uniq compare (List.map (Cgra.island_of cgra) tiles) |> List.length
   in
   let islands_for level =
-    (slots.(level_index level) + island_slots - 1) / island_slots
+    (slots.(Dvfs.rank level) + island_slots - 1) / island_slots
   in
   Array.iter
     (fun id ->

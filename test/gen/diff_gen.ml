@@ -13,6 +13,7 @@
 open Iced_arch
 open Iced_dfg
 module Mapper = Iced_mapper.Mapper
+module Cost = Iced_mapper.Cost
 module Mapping = Iced_mapper.Mapping
 module Builders = Iced_kernels.Builders
 
@@ -174,7 +175,7 @@ let backend_cases () =
     List.map
       (fun backend ->
         ( Printf.sprintf "%s:%s:%s:%s" (Backend.to_string backend) k.name fabric tag,
-          { req with Mapper.backend },
+          { req with Iced_mapper.Engine.backend },
           Iced_kernels.Kernel.dfg_at k ~factor,
           levels ))
       backends
@@ -204,7 +205,7 @@ let backend_cases () =
           k [ Backend.default ])
       Iced_kernels.Registry.all
   in
-  let all_on = Mapper.all_knobs in
+  let all_on = Cost.all_knobs in
   table1 Mapper.Dvfs_aware all
   @ table1 Mapper.Conventional [ Backend.default; Backend.sa ]
   @ case ~fabric:"10x10" ~tag:"dvfs"
@@ -213,10 +214,10 @@ let backend_cases () =
   @ committed "fir" all
   @ committed "fft" [ Backend.default; Backend.sa ]
   @ List.concat_map knob_off
-      [ ("island_affinity", { all_on with Mapper.island_affinity = false });
-        ("packing", { all_on with Mapper.packing = false });
-        ("phase_alignment", { all_on with Mapper.phase_alignment = false });
-        ("conventional_fallback", { all_on with Mapper.conventional_fallback = false }) ]
+      [ ("island_affinity", { all_on with Cost.island_affinity = false });
+        ("packing", { all_on with Cost.packing = false });
+        ("phase_alignment", { all_on with Cost.phase_alignment = false });
+        ("conventional_fallback", { all_on with Cost.conventional_fallback = false }) ]
   (* Table I at unroll 2, where the recurrences are longest *)
   @ List.concat_map
       (fun strategy ->

@@ -65,7 +65,7 @@ let test_sa_seeds_explore_differently () =
   let run seed =
     let stats = Mapper.create_stats () in
     match Mapper.map ~stats (Mapper.request ~backend:(Backend.Sa seed) cgra) fir.dfg with
-    | Ok m -> (render m, stats.Mapper.sa_moves_accepted, stats.Mapper.sa_moves_rejected)
+    | Ok m -> (render m, stats.Telemetry.sa_moves_accepted, stats.Telemetry.sa_moves_rejected)
     | Error msg -> Alcotest.fail msg
   in
   let r1, a1, j1 = run 1 and r2, a2, j2 = run 2 in
@@ -78,8 +78,8 @@ let test_sa_counters_populate () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
   Alcotest.(check bool) "sa moves counted" true
-    (stats.Mapper.sa_moves_accepted + stats.Mapper.sa_moves_rejected > 0);
-  Alcotest.(check bool) "temperature steps counted" true (stats.Mapper.sa_temp_steps > 0)
+    (stats.Telemetry.sa_moves_accepted + stats.Telemetry.sa_moves_rejected > 0);
+  Alcotest.(check bool) "temperature steps counted" true (stats.Telemetry.sa_temp_steps > 0)
 
 (* ---------------- Pathfinder ---------------- *)
 
@@ -104,7 +104,7 @@ let test_pathfinder_counters_populate () =
   (match Mapper.map ~stats (Mapper.request ~backend:Backend.pathfinder cgra) fir.dfg with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
-  Alcotest.(check bool) "negotiation rounds counted" true (stats.Mapper.pf_rounds > 0)
+  Alcotest.(check bool) "negotiation rounds counted" true (stats.Telemetry.pf_rounds > 0)
 
 (* Negotiate a placement made by hand on a 3x3 fabric at II 1, as the
    decoupled backends do: each [(node, tile, time)] has its FU reserved
@@ -115,7 +115,7 @@ let test_pathfinder_counters_populate () =
    own and only port capacity can refute the placement. *)
 let negotiate dfg placed =
   let state, _ =
-    Search.attempt (Mapper.request (Cgra.make ~rows:3 ~cols:3 ())) dfg ~ii:1
+    Mapper.attempt (Mapper.request (Cgra.make ~rows:3 ~cols:3 ())) dfg ~ii:1
       ~margin:(List.hd Cost.asap_margins)
   in
   List.iter
@@ -145,8 +145,8 @@ let check_refuted what expected (result, (stats : Mapper.stats)) =
   (match result with
   | Error msg -> Alcotest.(check string) (what ^ ": message") expected msg
   | Ok () -> Alcotest.fail (what ^ ": negotiation committed"));
-  Alcotest.(check int) (what ^ ": no round") 0 stats.Mapper.pf_rounds;
-  Alcotest.(check int) (what ^ ": no route call") 0 stats.Mapper.route_calls
+  Alcotest.(check int) (what ^ ": no round") 0 stats.Telemetry.pf_rounds;
+  Alcotest.(check int) (what ^ ": no route call") 0 stats.Telemetry.route_calls
 
 let test_pathfinder_refutes_output_side () =
   check_refuted "three routes out of corner tile 0"
@@ -160,8 +160,8 @@ let test_pathfinder_at_capacity_commits () =
     negotiate (bipartite ~producers:1 ~consumers:2) [ (0, 0, 0); (1, 1, 2); (2, 3, 2) ]
   in
   (match result with Ok () -> () | Error msg -> Alcotest.fail msg);
-  Alcotest.(check int) "one round" 1 stats.Mapper.pf_rounds;
-  Alcotest.(check int) "one route call per edge" 2 stats.Mapper.route_calls
+  Alcotest.(check int) "one round" 1 stats.Telemetry.pf_rounds;
+  Alcotest.(check int) "one route call per edge" 2 stats.Telemetry.route_calls
 
 (* ---------------- property: every backend's output validates ------- *)
 

@@ -84,7 +84,7 @@ let test_stats_populated () =
       Alcotest.(check bool) "routes > 0" true (stats.route_calls > 0);
       Alcotest.(check bool) "expansions > 0" true (stats.expansions > 0);
       Alcotest.(check bool) "per-II timing recorded" true
-        (Iced_mapper.Mapper.per_ii_times stats <> []);
+        (Iced_mapper.Telemetry.per_ii stats <> []);
       Alcotest.(check bool) "wall time recorded" true (stats.wall_s >= 0.0))
 
 let certified_path = "golden/certified_ii.txt"

@@ -402,15 +402,15 @@ let test_sweep_mapper_stats () =
   in
   Alcotest.(check bool) "fresh mappings happened" true (stats.Sweep.fresh > 0);
   Alcotest.(check bool) "attempts accumulated" true
-    (sink.Iced_mapper.Mapper.attempts >= stats.Sweep.fresh);
-  Alcotest.(check bool) "routes accumulated" true (sink.Iced_mapper.Mapper.route_calls > 0);
+    (sink.Iced_mapper.Telemetry.attempts >= stats.Sweep.fresh);
+  Alcotest.(check bool) "routes accumulated" true (sink.Iced_mapper.Telemetry.route_calls > 0);
   (* a fully-cached sweep runs the mapper zero times *)
   let cache = Cache.in_memory () in
   let _ = Sweep.run ~cache (points3 ()) tiny_kernels in
   let sink2 = Iced_mapper.Mapper.create_stats () in
   let _, stats2 = Sweep.run ~mapper_stats:sink2 ~cache (points3 ()) tiny_kernels in
   Alcotest.(check int) "all cached" 0 stats2.Sweep.fresh;
-  Alcotest.(check int) "no mapper work recorded" 0 sink2.Iced_mapper.Mapper.attempts
+  Alcotest.(check int) "no mapper work recorded" 0 sink2.Iced_mapper.Telemetry.attempts
 
 let test_sweep_timeout_skips () =
   let config = { Sweep.default_config with Sweep.timeout_s = -1.0 } in
