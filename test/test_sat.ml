@@ -5,7 +5,6 @@
 
 module Solver = Iced_sat.Solver
 module Card = Iced_sat.Card
-module Dimacs = Iced_sat.Dimacs
 
 let outcome =
   Alcotest.testable
@@ -129,19 +128,6 @@ let test_at_most_k () =
   check_k ~n:5 ~k:0 ~force:0 Solver.Sat;
   check_k ~n:4 ~k:4 ~force:4 Solver.Sat
 
-let test_dimacs () =
-  (match Dimacs.parse "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" with
-  | Error e -> Alcotest.failf "parse: %s" e
-  | Ok (s, n) ->
-    Alcotest.(check int) "vars" 3 n;
-    Alcotest.check outcome "sat" Solver.Sat (Solver.solve s));
-  (match Dimacs.parse "1 0\n-1 0\n" with
-  | Error e -> Alcotest.failf "headerless: %s" e
-  | Ok (s, _) -> Alcotest.check outcome "unsat" Solver.Unsat (Solver.solve s));
-  match Dimacs.parse "1 2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unterminated clause accepted"
-
 let test_deterministic () =
   let run () =
     let s = Solver.create () in
@@ -190,59 +176,6 @@ let test_random_vs_bruteforce =
       done;
       got = if !satisfiable then Solver.Sat else Solver.Unsat)
 
-(* Hostile DIMACS text is an [Error], never an exception: literals
-   with no solver literal and variables past the header's count. *)
-let test_dimacs_rejects () =
-  let rejects what text =
-    match Dimacs.parse text with
-    | Error _ -> ()
-    | Ok (_, n) -> Alcotest.failf "%s accepted with %d variables" what n
-    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
-  in
-  rejects "min_int literal" (Printf.sprintf "%d 0" min_int);
-  rejects "min_int + 1 literal" (Printf.sprintf "%d 0" (min_int + 1));
-  rejects "max_int literal" (Printf.sprintf "%d 0" max_int);
-  rejects "variable past the header" "p cnf 2 1\n3 0\n";
-  rejects "negated variable past the header" "p cnf 2 1\n1 -3 0\n";
-  rejects "header below the variables used" "3 0\np cnf 2 1\n";
-  rejects "header past max_int / 2" (Printf.sprintf "p cnf %d 1\n" max_int);
-  (match Dimacs.parse "p cnf 3 1\n3 -1 0\n" with
-  | Ok (_, n) -> Alcotest.(check int) "declared count" 3 n
-  | Error e -> Alcotest.failf "in-range clause: %s" e);
-  match Dimacs.parse "1 -3 0\n" with
-  | Ok (s, n) ->
-    Alcotest.(check int) "headerless count" 3 n;
-    Alcotest.check outcome "headerless sat" Solver.Sat (Solver.solve s)
-  | Error e -> Alcotest.failf "headerless: %s" e
-
-(* A header or literal above Dimacs.max_vars is an Error found before
-   any variable is created: each of these few-byte inputs allocates
-   under 1 MB.  Allocation is counted as bench/main.ml counts it: minor
-   words plus words allocated straight into the major heap, where a
-   grown solver's arrays go ([Gc.allocated_bytes] undercounts the minor
-   heap on OCaml 5.1). *)
-let test_dimacs_bounds_variables () =
-  let allocated_bytes () =
-    let _, promoted, major = Gc.counters () in
-    (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
-  in
-  let bounded what text =
-    let before = allocated_bytes () in
-    (match Dimacs.parse text with
-    | Error _ -> ()
-    | Ok (_, n) -> Alcotest.failf "%s accepted with %d variables" what n
-    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e));
-    let allocated = allocated_bytes () -. before in
-    if allocated >= 1048576.0 then Alcotest.failf "%s allocated %.0f bytes" what allocated
-  in
-  let past = Dimacs.max_vars + 1 in
-  Alcotest.(check int) "max_vars" (1 lsl 20) Dimacs.max_vars;
-  bounded "header past max_vars" (Printf.sprintf "p cnf %d 1\n" past);
-  bounded "literal past max_vars" (Printf.sprintf "%d 0\n" past);
-  bounded "negated literal past max_vars" (Printf.sprintf "1 -%d 0\n" past);
-  bounded "header of 2^61 variables" (Printf.sprintf "p cnf %d 1\n" (1 lsl 61));
-  bounded "20-character literal" (Printf.sprintf "%d 0\n" (-(max_int / 2)))
-
 let suite =
   [
     Alcotest.test_case "unit propagation" `Quick test_unit_propagation;
@@ -255,9 +188,6 @@ let suite =
     Alcotest.test_case "budget unknown" `Quick test_budget_unknown_then_resumable;
     Alcotest.test_case "exactly one" `Quick test_exactly_one;
     Alcotest.test_case "at most k" `Quick test_at_most_k;
-    Alcotest.test_case "dimacs" `Quick test_dimacs;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     QCheck_alcotest.to_alcotest test_random_vs_bruteforce;
-    Alcotest.test_case "dimacs rejects hostile input" `Quick test_dimacs_rejects;
-    Alcotest.test_case "dimacs bounds the variable count" `Quick test_dimacs_bounds_variables;
   ]
