@@ -54,9 +54,9 @@ let has_memory_port t id =
 
 let memory_tiles t = List.init t.rows (fun row -> tile_id t ~row ~col:0)
 
-(* The mapper prices routing hops with [manhattan] and [island_of] on
-   every relaxation, so both do their row/column arithmetic in place
-   rather than through [position]'s tuple. *)
+(* [manhattan] and [island_of] do their row/column arithmetic in place
+   rather than through [position]'s tuple; they are the reference that
+   [geometry]'s tables are built from and tested against. *)
 let manhattan t a b =
   check_tile t a;
   check_tile t b;
@@ -73,6 +73,28 @@ let island_of t id =
   ((row / t.island_rows) * island_grid_cols t) + (col / t.island_cols)
 
 let islands t = List.init (island_count t) (fun i -> i)
+
+type geometry = {
+  row : int array;
+  col : int array;
+  island : int array;
+  neighbor : int array;
+}
+
+let geometry t =
+  let n = tile_count t in
+  let neighbor = Array.make (4 * n) (-1) in
+  for id = 0 to n - 1 do
+    List.iter (fun (dir, next) -> neighbor.((4 * id) + Dir.index dir) <- next) (neighbors t id)
+  done;
+  {
+    row = Array.init n (fun id -> id / t.cols);
+    col = Array.init n (fun id -> id mod t.cols);
+    island = Array.init n (island_of t);
+    neighbor;
+  }
+
+let hops g a b = abs (g.row.(a) - g.row.(b)) + abs (g.col.(a) - g.col.(b))
 
 (* An island is the block of rows [r0, r1) x columns [c0, c1), clipped
    at the fabric edge; walking it backwards row-major and consing

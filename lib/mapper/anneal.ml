@@ -23,16 +23,17 @@ let edge_cost ~dist ~margin =
   else (Router.hop_cost * dist) + (cost_wait * margin)
 
 (* Total cost of [node]'s incident dependences with [node] at
-   [(tile, time)] and every other endpoint at its current placement. *)
+   [(tile, time)] and every other endpoint at its current placement.
+   Never negative, so the move loop can mark a stale cost with -1. *)
 let incident state node tile time =
-  let cgra = state.req.cgra and preds = state.preds and succs = state.succs in
+  let geometry = state.geometry and preds = state.preds and succs = state.succs in
   let ii = state.ii in
   let cost = ref 0 in
   for i = preds.first.(node) to preds.first.(node + 1) - 1 do
     let src = preds.ends.(i) in
     let src_tile = if src = node then tile else state.place_tile.(src) in
     let src_time = if src = node then time else state.place_time.(src) in
-    let dist = Cgra.manhattan cgra src_tile tile in
+    let dist = Cgra.hops geometry src_tile tile in
     let slack = preds.periods.(i) * ii in
     cost := !cost + edge_cost ~dist ~margin:(time + slack - (src_time + dist + 1))
   done;
@@ -40,7 +41,7 @@ let incident state node tile time =
     let dst = succs.ends.(i) in
     let dst_tile = if dst = node then tile else state.place_tile.(dst) in
     let dst_time = if dst = node then time else state.place_time.(dst) in
-    let dist = Cgra.manhattan cgra tile dst_tile in
+    let dist = Cgra.hops geometry tile dst_tile in
     let slack = succs.periods.(i) * ii in
     cost := !cost + edge_cost ~dist ~margin:(dst_time + slack - (time + dist + 1))
   done;
@@ -85,49 +86,58 @@ let place_untraced ~seed state order =
         in
         eligible.(node) <- Array.of_list tiles)
       nodes;
-    let stats = state.stats in
+    let stats = state.stats and preds = state.preds and succs = state.succs in
+    (* Each node's incident cost at its current placement, or -1 once
+       it or a neighbour has moved since the cost was taken. *)
+    let cost = Array.make (Array.length state.place_tile) (-1) in
+    let current_cost node =
+      if cost.(node) < 0 then
+        cost.(node) <- incident state node state.place_tile.(node) state.place_time.(node);
+      cost.(node)
+    in
+    let moved node after =
+      for i = preds.first.(node) to preds.first.(node + 1) - 1 do
+        cost.(preds.ends.(i)) <- -1
+      done;
+      for i = succs.first.(node) to succs.first.(node + 1) - 1 do
+        cost.(succs.ends.(i)) <- -1
+      done;
+      cost.(node) <- after
+    in
     let accept_move delta t =
       delta <= 0 || Rng.float rng 1.0 < exp (-.float_of_int delta /. t)
     in
     (* One seeded move: relocate a uniform node to a uniform eligible
        (tile, time-window slot), Metropolis-accepted at temperature
-       [t].  Returns whether the move was accepted. *)
+       [t].  The target FU slots are only tested (free, or the node's
+       own); the MRRG is written when the move is accepted.  Returns
+       whether it was. *)
     let attempt_move t =
       let node = nodes.(Rng.int rng (Array.length nodes)) in
-      let old_tile = state.place_tile.(node) and old_time = state.place_time.(node) in
       let tiles = eligible.(node) in
       if Array.length tiles = 0 then false
       else begin
         let tile = tiles.(Rng.int rng (Array.length tiles)) in
-        let est, lst = time_window state node tile in
-        let upper = min (est + state.ii - 1) lst in
+        let window = time_window state node tile in
+        let est = window.est in
+        let upper = min (est + state.ii - 1) window.lst in
         if upper < est then false
         else begin
           let time = est + Rng.int rng (upper - est + 1) in
-          if tile = old_tile && time = old_time then false
+          let old_tile = state.place_tile.(node) and old_time = state.place_time.(node) in
+          if (tile = old_tile && time = old_time) || not (fu_fits state node tile time) then false
           else begin
-            release_fu state old_tile old_time;
-            match reserve_fu state node tile time with
-            | Error _ ->
-              (match reserve_fu state node old_tile old_time with
+            let after = incident state node tile time in
+            if accept_move (after - current_cost node) t then begin
+              release_fu state old_tile old_time;
+              (match reserve_fu state node tile time with
               | Ok () -> ()
-              | Error msg -> failwith ("Anneal: lost home slot: " ^ msg));
-              false
-            | Ok () ->
-              let delta =
-                incident state node tile time - incident state node old_tile old_time
-              in
-              if accept_move delta t then begin
-                Engine.place state node tile time;
-                true
-              end
-              else begin
-                release_fu state tile time;
-                (match reserve_fu state node old_tile old_time with
-                | Ok () -> ()
-                | Error msg -> failwith ("Anneal: lost home slot: " ^ msg));
-                false
-              end
+              | Error msg -> failwith ("Anneal: tested slot refused: " ^ msg));
+              Engine.place state node tile time;
+              moved node after;
+              true
+            end
+            else false
           end
         end
       end

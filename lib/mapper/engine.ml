@@ -36,11 +36,14 @@ let cost_phase = weights.Cost.phase
 let cost_route_misphase = weights.Cost.route_misphase
 let cost_route_open_island = weights.Cost.route_open_island
 
+(* A node's start window on one tile, as [time_window] leaves it. *)
+type window = { mutable est : int; mutable lst : int }
+
 (* The greedy placer's candidate heap and the int scratch it is filled
    from, one per mapping run.  The scan fields describe the node last
-   scanned and are overwritten by every scan, [time_window]'s included;
-   the drain fields are set by [collect_candidates] and read when
-   [pop_candidate] expands a tile entry. *)
+   scanned and are overwritten by every scan; the drain fields are set
+   by [collect_candidates] and read when [pop_candidate] expands a tile
+   entry.  [window] is [time_window]'s result, which neither reads. *)
 type candidates = {
   heap : Heap.t;
   (* scan: the node's placed neighbours, producers in [0, producers)
@@ -61,12 +64,13 @@ type candidates = {
   mutable tile_est : int array;
   mutable tile_last : int array;
   mutable tile_base : int array;
+  window : window;
 }
 
 let create_candidates () =
   { heap = Heap.create (); nb_tile = [||]; nb_offset = [||]; producers = 0; neighbours = 0;
     start = 0; hard = 0; lst = max_int; route = 0; slope = 0; phased = false;
-    tile_est = [||]; tile_last = [||]; tile_base = [||] }
+    tile_est = [||]; tile_last = [||]; tile_base = [||]; window = { est = 0; lst = max_int } }
 
 (* Each node's producers (or consumers), flattened: entries [first.(v)]
    to [first.(v + 1) - 1] of [ends] and [periods] are node [v]'s, in
@@ -90,6 +94,7 @@ type state = {
          cycles; read only, one per mapping run *)
   preds : adjacency; (* node -> producers; read only, one per mapping run *)
   succs : adjacency; (* node -> consumers; read only, one per mapping run *)
+  geometry : Cgra.geometry; (* the fabric's tables, one per mapping run *)
   mrrg : Mrrg.t;
   place_tile : int array; (* node -> tile, -1 = unplaced *)
   place_time : int array; (* node -> start time, meaningful when placed *)
@@ -163,14 +168,14 @@ let tile_width state tile =
   match state.committed with
   | None -> 1
   | Some table -> (
-    match Hashtbl.find_opt table (Cgra.island_of state.req.cgra tile) with
+    match Hashtbl.find_opt table state.geometry.island.(tile) with
     | Some level when Dvfs.is_active level -> Dvfs.multiplier level
     | Some _ | None -> 1)
 
 let committed_level state tile =
   match state.committed with
   | None -> None
-  | Some table -> Hashtbl.find_opt table (Cgra.island_of state.req.cgra tile)
+  | Some table -> Hashtbl.find_opt table state.geometry.island.(tile)
 
 (* The clock phase (mod m) an island's existing events agree on, if
    any: [`Empty] when the island has no events yet, [`Phase p] when all
@@ -180,13 +185,14 @@ let island_phase state island m = Mrrg.island_phase state.mrrg ~island ~modulo:m
 
 (* Phase-misalignment penalty for scheduling an event on [tile] at
    [time], given the tile's island intends to run slowed.  Only
-   meaningful when the multiplier divides the II. *)
+   meaningful when the multiplier divides the II, so [time] may be any
+   time of its modulo slot. *)
 let phase_penalty state ~weight tile time =
   match state.req.strategy with
   | Cost.Conventional -> 0
   | Cost.Dvfs_aware when not state.req.knobs.Cost.phase_alignment -> 0
   | Cost.Dvfs_aware -> (
-    let island = Cgra.island_of state.req.cgra tile in
+    let island = state.geometry.island.(tile) in
     match tentative_level state island with
     | None | Some Dvfs.Normal | Some Dvfs.Power_gated -> 0
     | Some ((Dvfs.Relax | Dvfs.Rest) as level) ->
@@ -199,14 +205,13 @@ let phase_penalty state ~weight tile time =
 
 (* Router hop penalty: stay out of unopened islands (they could be
    power-gated) and respect slowed islands' phases. *)
-let route_extra_cost state ~tile ~time =
+let route_extra_cost state ~tile ~slot =
   match state.req.strategy with
   | Cost.Conventional -> 0
   | Cost.Dvfs_aware -> (
-    let island = Cgra.island_of state.req.cgra tile in
-    match tentative_level state island with
+    match tentative_level state state.geometry.island.(tile) with
     | None -> cost_route_open_island
-    | Some _ -> phase_penalty state ~weight:cost_route_misphase tile time)
+    | Some _ -> phase_penalty state ~weight:cost_route_misphase tile slot)
 
 (* Append one neighbour to the scan arrays, doubling them when full. *)
 let add_neighbour c tile offset =
@@ -253,16 +258,16 @@ let scan state node =
    deadline ([max_int] = none); and [route], the hop cost to every
    neighbour minus [cost_wait] times the sum of the producers' bounds. *)
 let measure state tile =
-  let c = state.candidates and cgra = state.req.cgra in
+  let c = state.candidates and geometry = state.geometry in
   let hard = ref 0 and lst = ref max_int and route = ref 0 in
   for i = 0 to c.producers - 1 do
-    let dist = Cgra.manhattan cgra c.nb_tile.(i) tile in
+    let dist = Cgra.hops geometry c.nb_tile.(i) tile in
     let bound = c.nb_offset.(i) + dist in
     if bound > !hard then hard := bound;
     route := !route + (Router.hop_cost * dist) - (cost_wait * bound)
   done;
   for i = c.producers to c.neighbours - 1 do
-    let dist = Cgra.manhattan cgra tile c.nb_tile.(i) in
+    let dist = Cgra.hops geometry tile c.nb_tile.(i) in
     let bound = c.nb_offset.(i) - dist in
     if bound < !lst then lst := bound;
     route := !route + (Router.hop_cost * dist)
@@ -278,14 +283,41 @@ let measure state tile =
    is the latest start admissible given already-placed consumers.  The
    soft bound is only a guess, so it yields toward [hard] whenever
    honouring it would close the window against [lst]. *)
-let window_start c =
-  let soft = max c.hard c.start in
-  if c.lst <> max_int && soft > c.lst then max c.hard (min soft c.lst) else soft
+let window_start ~hard ~lst ~start =
+  let soft = max hard start in
+  if lst <> max_int && soft > lst then max hard (min soft lst) else soft
 
+(* [measure]'s [hard] and [lst] for one tile, read straight from the
+   flat producer and consumer arrays: an annealing move asks for one
+   tile's window, so it fills no scan array and sums no route term. *)
 let time_window state node tile =
-  scan state node;
-  measure state tile;
-  (window_start state.candidates, state.candidates.lst)
+  let geometry = state.geometry and preds = state.preds and succs = state.succs in
+  let ii = state.ii in
+  let hard = ref 0 and lst = ref max_int in
+  for i = preds.first.(node) to preds.first.(node + 1) - 1 do
+    let src = preds.ends.(i) in
+    let src_tile = state.place_tile.(src) in
+    if src_tile >= 0 then begin
+      let bound =
+        state.place_time.(src) + 1 - (preds.periods.(i) * ii) + Cgra.hops geometry src_tile tile
+      in
+      if bound > !hard then hard := bound
+    end
+  done;
+  for i = succs.first.(node) to succs.first.(node + 1) - 1 do
+    let dst = succs.ends.(i) in
+    let dst_tile = state.place_tile.(dst) in
+    if dst_tile >= 0 then begin
+      let bound =
+        state.place_time.(dst) + (succs.periods.(i) * ii) - 1 - Cgra.hops geometry tile dst_tile
+      in
+      if bound < !lst then lst := bound
+    end
+  done;
+  let w = state.candidates.window in
+  w.est <- window_start ~hard:!hard ~lst:!lst ~start:(Estimate.start state.estimate node);
+  w.lst <- !lst;
+  w
 
 (* A candidate's placement cost is a lower bound that never touches the
    router.  Within the window, placing the node on [tile] at [time]
@@ -328,7 +360,7 @@ let tile_terms state ~label ~on_cycle ~unplaced tile =
       in
       if not state.req.knobs.Cost.island_affinity then bias
       else
-        match tentative_level state (Cgra.island_of state.req.cgra tile) with
+        match tentative_level state state.geometry.island.(tile) with
         | None -> cost_open_island + bias
         | Some assigned ->
           let surplus = Dvfs.rank assigned - Dvfs.rank label in
@@ -371,7 +403,7 @@ let collect_candidates state node tiles =
   List.iter
     (fun tile ->
       measure state tile;
-      let est = window_start c in
+      let est = window_start ~hard:c.hard ~lst:c.lst ~start:c.start in
       let last = min (est + ii - 1) c.lst in
       if last >= est then begin
         let base = c.route + tile_terms state ~label ~on_cycle ~unplaced tile in
@@ -423,7 +455,7 @@ let route_edge state (e : Graph.edge) ~src_tile ~src_time ~dst_tile ~dst_time =
   else
     match
       Router.route
-        ~extra_cost:(fun ~tile ~time -> route_extra_cost state ~tile ~time)
+        ~extra_cost:(fun ~tile ~slot -> route_extra_cost state ~tile ~slot)
         ~hop_width:(fun tile -> tile_width state tile)
         ~scratch:state.scratch ~stats:state.stats state.mrrg ~edge:e ~src_tile ~src_time
         ~dst_tile ~deadline
@@ -478,6 +510,13 @@ let reserve_fu state node tile time =
         err
   in
   claim 0
+
+let fu_fits state node tile time =
+  let width = tile_width state tile in
+  let rec fits k =
+    k = width || (Mrrg.fu_holds_or_free state.mrrg ~tile ~time:(time + k) node && fits (k + 1))
+  in
+  fits 0
 
 let release_fu state tile time =
   for k = 0 to tile_width state tile - 1 do

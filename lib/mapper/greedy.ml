@@ -46,7 +46,7 @@ let place_node_untraced ~route state node =
       let sample =
         List.filteri (fun i _ -> i < 3) eligible_tiles
         |> List.map (fun tile ->
-               let est, lst = time_window state node tile in
+               let { est; lst } = time_window state node tile in
                Printf.sprintf "t%d:[%d,%s]" tile est
                  (if lst = max_int then "inf" else string_of_int lst))
       in

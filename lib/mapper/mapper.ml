@@ -223,6 +223,7 @@ let attempt_state ~scratch ~candidates ~stats ~ctx (req : request) dfg ~tiles
       cycle_mates = ctx.cycle_mates;
       preds = ctx.preds;
       succs = ctx.succs;
+      geometry = Router.geometry scratch req.cgra;
       mrrg = Mrrg.create ~tiles ~dead_links:req.dead_links req.cgra ~ii;
       place_tile = Array.make slots (-1);
       place_time = Array.make slots 0;

@@ -27,11 +27,13 @@ let route_all state =
   let nres = tiles * 4 * ii in
   let usage = Array.make nres 0 in
   let history = Array.make nres 0 in
-  (* Port-slot resource index: ((tile * 4) + dir) * II + (time mod II).
-     This is exactly the occupancy the MRRG charges a hop (the source
-     tile's output port at the arrival time's modulo slot), so zero
-     overflow here guarantees the final commit reserves cleanly. *)
-  let res ~tile ~dir ~time = (((tile * 4) + Dir.index dir) * ii) + (time mod ii) in
+  (* Port-slot resource index: ((tile * 4) + dir) * II + slot, where
+     slot is the arrival time's modulo slot.  This is exactly the
+     occupancy the MRRG charges a hop (the source tile's output port at
+     that slot), so zero overflow here guarantees the final commit
+     reserves cleanly.  The router hands its pricing the slot already
+     reduced. *)
+  let res ~tile ~dir ~slot = (((tile * 4) + Dir.index dir) * ii) + slot in
   (* Each port slot's base price: its DVFS hop cost, or -1 on a dead
      link.  Priced once per call: ports are reserved only at commit,
      and FU occupancy and island levels stay fixed while negotiating,
@@ -41,9 +43,9 @@ let route_all state =
   for tile = 0 to tiles - 1 do
     List.iter
       (fun dir ->
-        for time = 0 to ii - 1 do
-          if Mrrg.is_free mrrg ~tile ~time (Mrrg.Port dir) then
-            base.(res ~tile ~dir ~time) <- route_extra_cost state ~tile ~time
+        for slot = 0 to ii - 1 do
+          if Mrrg.port_free mrrg ~tile ~slot dir then
+            base.(res ~tile ~dir ~slot) <- route_extra_cost state ~tile ~slot
         done)
       Dir.all
   done;
@@ -72,8 +74,8 @@ let route_all state =
       List.iter
         (fun (dir, next) ->
           if Mrrg.allowed mrrg next then
-            for time = 0 to ii - 1 do
-              if base.(res ~tile ~dir ~time) >= 0 then incr n
+            for slot = 0 to ii - 1 do
+              if base.(res ~tile ~dir ~slot) >= 0 then incr n
             done)
         (Cgra.neighbors state.req.cgra tile);
       !n
@@ -94,8 +96,8 @@ let route_all state =
     check 0
   in
   let present = ref present_base in
-  let port_cost ~tile ~dir ~time =
-    let r = res ~tile ~dir ~time in
+  let port_cost ~tile ~dir ~slot =
+    let r = res ~tile ~dir ~slot in
     let price = base.(r) in
     if price < 0 then -1
     else price + (history_weight * history.(r)) + (usage.(r) * !present)
@@ -110,7 +112,7 @@ let route_all state =
     incr pass;
     List.iter
       (fun (h : Mapping.hop) ->
-        let r = res ~tile:h.tile ~dir:h.dir ~time:h.time in
+        let r = res ~tile:h.tile ~dir:h.dir ~slot:(h.time mod ii) in
         if seen.(r) <> !pass then begin
           seen.(r) <- !pass;
           usage.(r) <- usage.(r) + delta

@@ -30,8 +30,15 @@ val create_scratch : unit -> scratch
 (** Empty arena; buffers are sized lazily by the first route through it.
     Not thread-safe — give each domain its own. *)
 
+val geometry : scratch -> Iced_arch.Cgra.t -> Iced_arch.Cgra.geometry
+(** The arena's {!Iced_arch.Cgra.geometry} tables of a fabric: built
+    the first time the arena meets that fabric (by physical equality)
+    and kept until it searches another, so a mapping run that shares
+    one arena builds them once.  The search reads each tile's
+    neighbours from them. *)
+
 val route :
-  ?extra_cost:(tile:int -> time:int -> int) ->
+  ?extra_cost:(tile:int -> slot:int -> int) ->
   ?hop_width:(int -> int) ->
   ?scratch:scratch ->
   ?stats:Telemetry.t ->
@@ -50,10 +57,13 @@ val route :
 
     This is {!find_path} under occupancy pricing: a hop out of [tile]
     is forbidden unless all [hop_width tile] of its output-port slots
-    from the arrival time on are free, and otherwise costs
-    [hop_width tile + extra_cost ~tile ~time] on top of {!hop_cost}
-    ([extra_cost] must be non-negative).  The hops are then reserved;
-    a reservation conflict rolls them back and counts as a failure.
+    from the arrival slot on are free, and otherwise costs
+    [hop_width tile + extra_cost ~tile ~slot] on top of {!hop_cost}
+    ([extra_cost] must be non-negative and depend on nothing that the
+    search changes: it is asked once per (tile, slot) an expansion
+    prices, and the four directions of the expansion share the
+    answer).  The hops are then reserved; a reservation conflict rolls
+    them back and counts as a failure.
 
     [scratch] reuses a search arena across calls (a private one is made
     per call otherwise).  [stats] counts the call, its heap expansions,
@@ -62,7 +72,7 @@ val route :
 val find_path :
   ?scratch:scratch ->
   ?stats:Telemetry.t ->
-  port_cost:(tile:int -> dir:Iced_arch.Dir.t -> time:int -> int) ->
+  port_cost:(tile:int -> dir:Iced_arch.Dir.t -> slot:int -> int) ->
   Iced_mrrg.Mrrg.t ->
   edge:Graph.edge ->
   src_tile:int ->
@@ -71,11 +81,13 @@ val find_path :
   deadline:int ->
   (Mapping.hop list * int, string) result
 (** Cheapest path under caller-supplied port pricing, {e without}
-    reserving anything.  [port_cost ~tile ~dir ~time] prices the output
-    port slot a hop out of [tile] in direction [dir] arriving at [time]
-    would claim — [-1] forbids it (busy or dead link), any
-    [extra >= 0] is added to {!hop_cost}; an int rather than an option,
-    so pricing a relaxation allocates nothing.  Besides {!route}, the
+    reserving anything.  [port_cost ~tile ~dir ~slot] prices the output
+    port slot a hop out of [tile] in direction [dir] would claim: the
+    modulo slot [slot] (in [\[0, II)]) of the time the hop arrives,
+    which the search reduces once per expansion, so pricing takes no
+    [mod].  [-1] forbids the hop (busy or dead link), any [extra >= 0]
+    is added to {!hop_cost}; an int rather than an option, so pricing a
+    relaxation allocates nothing.  Besides {!route}, the
     Pathfinder router runs this once per edge per negotiation round,
     with present/history congestion folded into the pricing; settled
     routes are reserved by the caller.  [stats] counts the call, its

@@ -95,6 +95,23 @@ let link_dead t tile res = t.dead.((tile * resources) + res_index res)
 let is_free t ~tile ~time res =
   (not (link_dead t tile res)) && occupant t ~tile ~time res = None
 
+(* The port test the router's pricing makes on every relaxation: the
+   caller holds the modulo slot already, so no [time mod ii] here. *)
+let port_free t ~tile ~slot dir =
+  if slot < 0 || slot >= t.ii then invalid_arg "Mrrg.port_free: slot outside [0, ii)";
+  let r = 1 + Dir.index dir in
+  (not t.dead.((tile * resources) + r))
+  && match t.occ.((((tile * t.ii) + slot) * resources) + r) with None -> true | Some _ -> false
+
+let fu_holds_or_free t ~tile ~time node =
+  allowed t tile
+  && (not (link_dead t tile Fu))
+  &&
+  match t.occ.(cell t ~tile ~time Fu) with
+  | None -> true
+  | Some (Op_node n) -> n = node
+  | Some (Route _) -> false
+
 let occupant_to_string = function
   | Op_node id -> Printf.sprintf "op n%d" id
   | Route { src; dst } -> Printf.sprintf "route n%d->n%d" src dst

@@ -50,6 +50,19 @@ val occupant : t -> tile:int -> time:int -> resource -> occupant option
 
 val is_free : t -> tile:int -> time:int -> resource -> bool
 
+val port_free : t -> tile:int -> slot:int -> Dir.t -> bool
+(** {!is_free} of a tile's output port at a modulo slot the caller has
+    already reduced ([slot] in [\[0, ii)]), so a router pricing several
+    hops from one state reduces its time once.
+    @raise Invalid_argument on a slot outside [\[0, ii)]. *)
+
+val fu_holds_or_free : t -> tile:int -> time:int -> int -> bool
+(** [fu_holds_or_free t ~tile ~time node] is whether
+    [reserve t ~tile ~time Fu (Op_node node)] would succeed: the tile is
+    in the sub-fabric and the FU slot is free or already computes
+    [node].  It reserves nothing and formats no message, so a placer
+    can test a slot it may not take. *)
+
 val reserve : t -> tile:int -> time:int -> resource -> occupant -> (unit, string) result
 (** Claim a resource; reports the holder on conflict.  Reserving a
     route on a port already routing the {e same} DFG edge succeeds

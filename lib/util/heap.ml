@@ -14,33 +14,43 @@ let size h = h.size
    (priority [p], payload [v]) is written once, where the hole stops.
    They make the comparisons the swapping sifts made (strict [<], left
    child probed first), so every entry ends where it did and equal
-   priorities pop in the same order. *)
-let rec sift_up h i p v =
-  let parent = (i - 1) / 2 in
-  if i > 0 && p < h.prio.(parent) then begin
-    h.prio.(i) <- h.prio.(parent);
-    h.payload.(i) <- h.payload.(parent);
-    sift_up h parent p v
-  end
-  else begin
-    h.prio.(i) <- p;
-    h.payload.(i) <- v
-  end
+   priorities pop in the same order.  They are loops rather than
+   recursions so that the hole's index and the entry stay in
+   registers. *)
+let sift_up h i p v =
+  let prio = h.prio and payload = h.payload in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let parent = (!i - 1) / 2 in
+    if !i > 0 && p < prio.(parent) then begin
+      prio.(!i) <- prio.(parent);
+      payload.(!i) <- payload.(parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  prio.(!i) <- p;
+  payload.(!i) <- v
 
-let rec sift_down h i p v =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = if left < h.size && h.prio.(left) < p then left else i in
-  let least = if smallest = i then p else h.prio.(left) in
-  let smallest = if right < h.size && h.prio.(right) < least then right else smallest in
-  if smallest <> i then begin
-    h.prio.(i) <- h.prio.(smallest);
-    h.payload.(i) <- h.payload.(smallest);
-    sift_down h smallest p v
-  end
-  else begin
-    h.prio.(i) <- p;
-    h.payload.(i) <- v
-  end
+let sift_down h i p v =
+  let prio = h.prio and payload = h.payload and size = h.size in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+    let smallest = if left < size && prio.(left) < p then left else !i in
+    let least = if smallest = !i then p else prio.(left) in
+    let smallest = if right < size && prio.(right) < least then right else smallest in
+    if smallest <> !i then begin
+      prio.(!i) <- prio.(smallest);
+      payload.(!i) <- payload.(smallest);
+      i := smallest
+    end
+    else moving := false
+  done;
+  prio.(!i) <- p;
+  payload.(!i) <- v
 
 let grow h =
   let capacity = max 16 (2 * h.size) in

@@ -1,17 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer, read and written with the
+   native-endian bytes primitives: the int64 temporaries of a draw stay
+   unboxed in registers, so a draw allocates nothing, where a mutable
+   [int64] field would box a fresh state on every store. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* Advance the state and return the next 64 output bits.  Inlined into
+   each draw below, which keeps only the bits it needs, so no [int64]
+   crosses a call. *)
+let[@inline] next_raw t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_raw t }
+let split t = of_state (next_raw t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -765,7 +765,7 @@ let test_candidate_drain () =
     let expected =
       List.concat_map
         (fun tile ->
-          let est, lst = Engine.time_window state node tile in
+          let { Engine.est; lst } = Engine.time_window state node tile in
           List.filter_map
             (fun time -> if Mrrg.is_free mrrg ~tile ~time Mrrg.Fu then Some (tile, time) else None)
             (List.init (max 0 (min (est + ii - 1) lst - est + 1)) (fun i -> est + i)))
