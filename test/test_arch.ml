@@ -232,6 +232,44 @@ let test_dir_index () =
         (fun () -> ignore (Dir.of_index i)))
     [ -1; 4 ]
 
+(* The geometry tables equal the arithmetic they stand in for, on
+   random fabrics up to [Space.max_side] a side: each tile's row and
+   column are [Cgra.position], its neighbour cells list
+   [Cgra.neighbors] in [Dir.all] order, [Cgra.hops] is
+   [Cgra.manhattan] on every pair, and under every island shape that
+   fits, the island cells are [Cgra.island_of]. *)
+let prop_geometry_tables =
+  let side = Iced_explore.Space.max_side in
+  QCheck.Test.make ~name:"cgra geometry tables match the arithmetic" ~count:20
+    QCheck.(pair (int_range 1 side) (int_range 1 side))
+    (fun (rows, cols) ->
+      let cgra = Cgra.make ~island:(1, 1) ~rows ~cols () in
+      let g = Cgra.geometry cgra in
+      let ids = List.init (Cgra.tile_count cgra) Fun.id in
+      let neighbors id =
+        List.filter_map
+          (fun dir ->
+            let next = g.neighbor.((4 * id) + Dir.index dir) in
+            if next < 0 then None else Some (dir, next))
+          Dir.all
+      in
+      Array.length g.neighbor = 4 * Cgra.tile_count cgra
+      && List.for_all
+           (fun id ->
+             (g.row.(id), g.col.(id)) = Cgra.position cgra id
+             && neighbors id = Cgra.neighbors cgra id
+             && List.for_all (fun b -> Cgra.hops g id b = Cgra.manhattan cgra id b) ids)
+           ids
+      && List.for_all
+           (fun island_rows ->
+             List.for_all
+               (fun island_cols ->
+                 let cgra = Cgra.with_island cgra (island_rows, island_cols) in
+                 let g = Cgra.geometry cgra in
+                 List.for_all (fun id -> g.island.(id) = Cgra.island_of cgra id) ids)
+               (List.init cols (fun c -> c + 1)))
+           (List.init rows (fun r -> r + 1)))
+
 let suite =
   [
     ("dvfs multipliers", `Quick, test_dvfs_multipliers);
@@ -257,4 +295,5 @@ let suite =
     ("cgra restrict", `Quick, test_cgra_restrict);
     QCheck_alcotest.to_alcotest prop_island_of_in_range;
     ("dir index follows Dir.all", `Quick, test_dir_index);
+    QCheck_alcotest.to_alcotest prop_geometry_tables;
   ]
