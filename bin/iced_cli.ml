@@ -569,6 +569,11 @@ let explore_term =
         max_iis;
       }
     in
+    Option.iter
+      (fun msg ->
+        Printf.eprintf "iced explore: %s\n" msg;
+        exit Cmd.Exit.cli_error)
+      (Explore.Space.grid_error spec);
     let points =
       match sample with
       | Some count -> Explore.Space.sample spec ~seed ~count

@@ -105,6 +105,24 @@ let floor_of_string = function
 
 let max_side = 32
 
+let max_grid = 1024
+
+let grid_error spec =
+  let lengths =
+    [ List.length spec.fabrics; List.length spec.islands; List.length spec.spm_banks;
+      List.length spec.floors; List.length spec.unrolls; List.length spec.max_iis ]
+  in
+  (* stop multiplying once past the cap, so no length overflows it *)
+  let product = List.fold_left (fun acc n -> if acc > max_grid then acc else acc * n) 1 lengths in
+  if product <= max_grid then None
+  else
+    Some
+      (Printf.sprintf
+         "the grid has %s (fabrics x islands x banks x floors x unrolls x max_iis) \
+          combinations, more than %d"
+         (String.concat " x " (List.map string_of_int lengths))
+         max_grid)
+
 let dims_to_string (r, c) = Printf.sprintf "%dx%d" r c
 
 let dims_of_string s =

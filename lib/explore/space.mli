@@ -86,6 +86,19 @@ val max_side : int
     and so the largest fabric the daemon and [iced] admit: twice the
     16x16 of the largest fabric any test, bench or CI step maps. *)
 
+val max_grid : int
+(** The largest product of a spec's list lengths (fabrics x islands x
+    banks x floors x unrolls x max_iis) that the daemon and [iced
+    explore] sweep: 1,024, four times the 252 of the largest grid any
+    test, bench, example or doc sweeps (the README's
+    [--fabrics 4x4,6x6,8x8] with every island shape and floor). *)
+
+val grid_error : spec -> string option
+(** [None] when the spec's grid is within {!max_grid}; else why not,
+    naming each list's length.  Checked before {!enumerate} runs: the
+    daemon answers such an [explore] frame [invalid] and [iced explore]
+    exits 124. *)
+
 val dims_to_string : int * int -> string
 (** ["RxC"]. *)
 

@@ -26,7 +26,7 @@ type stats = {
 module Obs = Iced_obs.Trace
 module Clock = Iced_obs.Clock
 
-let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
+let run_untraced ~config ~cancel ?mapper_stats ~trace ~cache points kernels =
   let t0 = Clock.now () in
   (* keys are computed once, up front: they embed the unrolled DFG's
      statistics, which are not free to recompute *)
@@ -81,11 +81,13 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
   let evaluate (i, (point, kernel, _key)) =
     let body () =
       let started = Clock.now () in
-      let cancel () = Clock.now () -. started > config.timeout_s in
+      let cancel () = cancel () || Clock.now () -. started > config.timeout_s in
       Outcome.evaluate_kernel ~cancel ~backend:config.backend ~stats:job_stats.(i) point
         kernel
     in
-    if not trace then Obs.suppress body
+    (* a cancelled sweep starts no further task *)
+    if cancel () then Outcome.Timed_out
+    else if not trace then Obs.suppress body
     else
       Obs.span
         ~args:(fun () ->
@@ -145,8 +147,9 @@ let run_untraced ~config ?mapper_stats ~trace ~cache points kernels =
   in
   (outcomes, stats)
 
-let run ?(config = default_config) ?mapper_stats ?(trace = true) ~cache points kernels =
-  let body () = run_untraced ~config ?mapper_stats ~trace ~cache points kernels in
+let run ?(config = default_config) ?(cancel = fun () -> false) ?mapper_stats ?(trace = true)
+    ~cache points kernels =
+  let body () = run_untraced ~config ~cancel ?mapper_stats ~trace ~cache points kernels in
   if not trace then Obs.suppress body
   else
     Obs.span

@@ -36,6 +36,7 @@ type stats = {
 
 val run :
   ?config:config ->
+  ?cancel:(unit -> bool) ->
   ?mapper_stats:Iced_mapper.Mapper.stats ->
   ?trace:bool ->
   cache:Cache.t ->
@@ -43,7 +44,12 @@ val run :
   Iced_kernels.Kernel.t list ->
   Outcome.point_result list * stats
 (** Results come back in input point order, each with kernels in input
-    kernel order, regardless of [workers].  [mapper_stats] aggregates
+    kernel order, regardless of [workers].  [cancel] (default: never)
+    cuts the whole sweep short: it is checked before each task starts,
+    and a task that starts after it fires is [Timed_out] unevaluated,
+    and it is polled by every evaluation beside the task's own
+    [timeout_s] budget, so the mapper stops between II attempts.  The
+    daemon passes a frame's deadline here.  [mapper_stats] aggregates
     the mapper telemetry of every fresh evaluation (cache hits run no
     mapper and contribute nothing); workers fill private records that
     are merged after the pool drains, so the sink needs no locking.

@@ -169,6 +169,7 @@ let decode line =
                 max_iis = list ~default:[ 64 ] "max_iis" ~what:"an integer" J.get_int;
               }
             in
+            Option.iter fail (Space.grid_error spec);
             Explore
               { spec; kernels = list ~default:[] "kernels" ~what:"a string" J.get_string }
           | "stream" ->

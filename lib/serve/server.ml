@@ -62,7 +62,7 @@ let handle_map ~cache ~cancel ~id ~point ~kernel ~backend =
     | _ -> ());
     Protocol.response_map ~id ~point ~kernel status
 
-let handle_explore ~cache ~id ~spec ~kernels =
+let handle_explore ~cache ~cancel ~id ~spec ~kernels =
   let resolved =
     match kernels with
     | [] -> Ok Registry.standalone
@@ -84,8 +84,14 @@ let handle_explore ~cache ~id ~spec ~kernels =
     | points ->
       (* workers = 1: the daemon's own pool is the parallelism; nesting
          a sweep pool inside a worker domain would oversubscribe *)
-      let outcomes, _stats = Sweep.run ~config:Sweep.default_config ~cache points ks in
-      Protocol.response_explore ~id ~frontier:(Report.frontier_summaries outcomes) outcomes)
+      let outcomes, stats = Sweep.run ~config:Sweep.default_config ~cancel ~cache points ks in
+      (* the default config has no per-point budget, so a timed-out
+         point means the frame's deadline fired *)
+      if stats.Sweep.timed_out > 0 then begin
+        Metrics.incr "serve.deadline_expired";
+        Protocol.response_timeout ~id ~op:"explore"
+      end
+      else Protocol.response_explore ~id ~frontier:(Report.frontier_summaries outcomes) outcomes)
 
 let take n l = if n <= 0 then l else List.filteri (fun i _ -> i < n) l
 
@@ -253,7 +259,8 @@ let dispatch ~cache ~stats ~health ~start ~deadline_at (frame : Protocol.frame) 
       Protocol.response_sleep ~id ~ms)
   | Protocol.Map { point; kernel; backend } ->
     handle_map ~cache ~cancel:expired ~id ~point ~kernel ~backend
-  | Protocol.Explore { spec; kernels } -> handle_explore ~cache ~id ~spec ~kernels
+  | Protocol.Explore { spec; kernels } ->
+    handle_explore ~cache ~cancel:expired ~id ~spec ~kernels
   | Protocol.Stream { app; policy; inputs } -> handle_stream ~id ~app ~policy ~inputs
   | Protocol.Fault { app; seeds; faults; inputs; window } ->
     handle_fault ~id ~app ~seeds ~faults ~inputs ~window

@@ -826,6 +826,40 @@ let test_stats_reply_shape () =
       Alcotest.(check bool) "acme listed in tenants" true (List.mem "acme" ids)
     | _ -> Alcotest.fail "stats reply lacks a tenants array"
 
+(* An explore frame is cut short at its deadline: the default 16
+   points over a 1,000-node kernel would map for minutes, so the sweep
+   must stop between points and inside each point's search.  The reply
+   is [timeout] for op explore, within the deadline plus a fixed slack,
+   and it counts one expired deadline. *)
+let test_deadline_cuts_explore () =
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  let writer = Unix.out_channel_of_descr req_w in
+  output_string writer
+    "{\"id\":\"e\",\"op\":\"explore\",\"kernels\":[\"rand1000x1\"],\"deadline_ms\":300}\n";
+  close_out writer;
+  let expired () =
+    Option.value ~default:0 (Iced_obs.Metrics.counter_value "serve.deadline_expired")
+  in
+  let before = expired () in
+  let t0 = Unix.gettimeofday () in
+  let reason =
+    Server.serve_fds ~once:true (config ~workers:1 ~queue_depth:4 ~cache:(Cache.in_memory ()))
+      req_r resp_w
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Unix.close resp_w;
+  let ic = Unix.in_channel_of_descr resp_r in
+  let line = input_line ic in
+  close_in ic;
+  Unix.close req_r;
+  Alcotest.(check bool) "eof" true (reason = Server.Eof);
+  Alcotest.(check string) "explore times out"
+    (Protocol.response_timeout ~id:"e" ~op:"explore")
+    line;
+  Alcotest.(check int) "one expired deadline counted" (before + 1) (expired ());
+  if elapsed > 5.3 then Alcotest.failf "timeout reply after %.2f s (bound 5.3 s)" elapsed
+
 let suite =
   [
     ("protocol roundtrip, all ops", `Quick, test_roundtrip_all_ops);
@@ -854,4 +888,5 @@ let suite =
     ("torn final line is discarded", `Quick, test_torn_final_line_discarded);
     ("over-long line: one invalid reply, then served", `Quick, test_over_long_line);
     ("field codecs round-trip", `Quick, test_field_codecs_roundtrip);
+    ("deadlines cut explore short", `Quick, test_deadline_cuts_explore);
   ]

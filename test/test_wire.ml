@@ -170,6 +170,7 @@ let rejections =
     ("order: explore", "{\"id\":\"x\",\"op\":\"explore\",\"banks\":8,\"floors\":\"rest\",\"unrolls\":1,\"max_iis\":64,\"kernels\":\"fir\"}");
     ("order: stream", "{\"id\":\"x\",\"op\":\"stream\",\"app\":\"lu\",\"policy\":\"warp\",\"inputs\":-1}");
     ("order: fault", "{\"id\":\"x\",\"op\":\"fault\",\"seeds\":0,\"faults\":-1,\"inputs\":0,\"window\":0}");
+    ("explore grid past the bound", "{\"id\":\"e\",\"op\":\"explore\",\"banks\":[1,2,3,4,5,6,7,8,9],\"unrolls\":[1,2],\"max_iis\":[8,16,32,64]}");
   ]
 
 let rejected line =
@@ -370,6 +371,8 @@ let expected =
       "{\"id\":\"x\",\"status\":\"invalid\",\"error\":\"field \\\"policy\\\" must be \\\"static\\\", \\\"iced\\\", or \\\"drips\\\"\"}" );
     ( "response invalid: order: fault",
       "{\"id\":\"x\",\"status\":\"invalid\",\"error\":\"field \\\"seeds\\\" must be > 0\"}" );
+    ( "response invalid: explore grid past the bound",
+      "{\"id\":\"e\",\"status\":\"invalid\",\"error\":\"the grid has 1 x 16 x 9 x 1 x 2 x 4 (fabrics x islands x banks x floors x unrolls x max_iis) combinations, more than 1024\"}" );
     ( "response invalid: line too long",
       "{\"status\":\"invalid\",\"error\":\"parse error: line too long at byte 1048576\"}" );
     ( "response ping",
