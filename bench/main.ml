@@ -727,7 +727,9 @@ let mapper_bench () =
                 in
                 (Mapper.map ~stats req k.dfg, stats)
               in
+              let before = allocated_bytes () in
               let result, stats = map_once () in
+              let alloc = allocated_bytes () -. before in
               let render m = Format.asprintf "%a" Iced_mapper.Mapping.pp m in
               let ok, ii = match result with
                 | Ok m -> (true, m.Iced_mapper.Mapping.ii)
@@ -751,7 +753,11 @@ let mapper_bench () =
                   ("wall_s", J.Num stats.Telemetry.wall_s); ("deterministic", J.Bool deterministic);
                   ("attempts", J.int stats.Telemetry.attempts);
                   ("route_calls", J.int stats.Telemetry.route_calls);
-                  ("pf_rounds", J.int stats.Telemetry.pf_rounds) ])
+                  ("pf_rounds", J.int stats.Telemetry.pf_rounds); ("alloc_bytes", J.Num alloc);
+                  ( "sa_moves",
+                    J.int (stats.Telemetry.sa_moves_accepted + stats.Telemetry.sa_moves_rejected)
+                  );
+                  ("expansions", J.int stats.Telemetry.expansions) ])
             [ Iced_mapper.Backend.default; Iced_mapper.Backend.sa;
               Iced_mapper.Backend.pathfinder ]
         in
