@@ -12,7 +12,11 @@
     backend's router.  A move's time window is {!Engine.time_window}'s,
     and it and the move's cost are read from flat arrays of each node's
     producers and consumers, built once per mapping run
-    ([Engine.state]'s [preds] and [succs]).
+    ([Engine.state]'s [preds] and [succs]), with hop distances from the
+    fabric's geometry tables.  A move tests its target FU slots with
+    {!Engine.fu_fits} and writes the MRRG only when it is accepted; the
+    moved node's old cost is its incident cost kept from an earlier
+    move, dropped whenever the node or a neighbour moves.
 
     The schedule is fixed (20,000 moves in batches of 64, starting at
     temperature 64.0, warming by 1.5x until a batch accepts 90% of its

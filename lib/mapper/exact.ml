@@ -80,6 +80,7 @@ let feasible cgra g ~ii ~budget =
         (fun (e : Graph.edge) -> e.distance > 0)
         (Graph.predecessors g node)
     in
+    let scratch = Router.create_scratch () in
     let route_incident node tile time =
       let routed = ref [] in
       let undo () =
@@ -89,7 +90,7 @@ let feasible cgra g ~ii ~budget =
         let deadline = dst_time + slack e - 1 in
         if src_tile = dst_tile then deadline >= src_time
         else
-          match Router.route mrrg ~edge:e ~src_tile ~src_time ~dst_tile ~deadline with
+          match Router.route ~scratch mrrg ~edge:e ~src_tile ~src_time ~dst_tile ~deadline with
           | Ok (hops, _) ->
             routed := (hops, e) :: !routed;
             true
@@ -241,11 +242,12 @@ let route_model ?stats cgra g ~ii placements =
                (la, a.src, a.dst, a.distance)
                (lb, b.src, b.dst, b.distance))
     in
+    let scratch = Router.create_scratch () in
     let rec route_all acc = function
       | [] -> Ok (List.rev acc)
       | (_, e, src_tile, src_time, dst_tile, deadline) :: rest -> (
         match
-          Router.route ?stats mrrg ~edge:e ~src_tile ~src_time ~dst_tile
+          Router.route ~scratch ?stats mrrg ~edge:e ~src_tile ~src_time ~dst_tile
             ~deadline
         with
         | Ok (hops, _) ->
