@@ -233,14 +233,28 @@ let decode t =
     t.order
   |> List.sort compare
 
+(* [X(n, tile)], or [None] when [tile] is outside [n]'s domain *)
+let tile_var nv tile =
+  let xi = ref None in
+  Array.iteri (fun i tl -> if tl = tile then xi := Some nv.x.(i)) nv.dom;
+  !xi
+
 let block t placements =
   let lits =
     List.concat_map
       (fun (n, (tile, time)) ->
         let nv = Hashtbl.find t.vars n in
-        let xi = ref (-1) in
-        Array.iteri (fun i tl -> if tl = tile then xi := i) nv.dom;
-        [ Solver.neg nv.x.(!xi); Solver.neg nv.s.(time - nv.lo) ])
+        [ Solver.neg (Option.get (tile_var nv tile)); Solver.neg nv.s.(time - nv.lo) ])
       placements
   in
   Solver.add_clause t.solver lits
+
+let assume t placements =
+  List.iter
+    (fun (n, (tile, time)) ->
+      let nv = Hashtbl.find t.vars n in
+      let unit lits = Solver.add_clause t.solver lits in
+      unit (match tile_var nv tile with Some x -> [ Solver.pos x ] | None -> []);
+      unit [ Solver.pos nv.slot.(((time mod t.ii) + t.ii) mod t.ii) ];
+      if time >= nv.lo && time < nv.hi then unit [ Solver.pos nv.s.(time - nv.lo) ])
+    placements

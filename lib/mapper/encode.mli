@@ -4,8 +4,10 @@
     {e necessary-condition relaxation} the exact oracle
     ({!Exact.certify}) refutes IIs with: every valid mapping at II (in
     the sense of {!Validate.check}) induces a satisfying assignment, so
-    [Unsat] proves the II infeasible.  A model fixes a tile and an
-    absolute cycle per node such that
+    [Unsat] proves the II infeasible.  The soundness property in
+    [test/test_mapper.ml] checks this premise on every backend mapping
+    and certify witness it builds, through {!assume}.  A model fixes a
+    tile and an absolute cycle per node such that
 
     - every node sits on one allowed tile (memory ops on memory tiles);
     - no two nodes share a tile in the same modulo slot (FU
@@ -20,10 +22,10 @@
     gap by routing each decoded model with the real {!Router} and
     blocking models whose placements are not routable (CEGAR).
 
-    Variable numbering (documented for docs/EXACT_ORACLE.md and the
-    DIMACS-minded): variables are allocated node by node in
-    intra-topological order — first the tile choices [X(n, tile)] over
-    the node's allowed tiles, then schedule indicators [S(n, t)] for
+    Variable numbering (documented for docs/EXACT_ORACLE.md):
+    variables are allocated node by node in intra-topological order —
+    first the tile choices [X(n, tile)] over the node's allowed
+    tiles, then schedule indicators [S(n, t)] for
     each cycle in the node's window, order-encoding bounds [GE(n, t)]
     ("time of n >= t") and modulo-slot indicators [SLOT(n, s)] — then
     per-edge distance bounds [DGE(e, d)] ("manhattan of e's endpoints
@@ -75,3 +77,12 @@ val decode : t -> (int * (int * int)) list
 val block : t -> (int * (int * int)) list -> unit
 (** Forbid exactly this placement-and-schedule (CEGAR refinement after
     a routing failure). *)
+
+val assume : t -> (int * (int * int)) list -> unit
+(** Fix this placement-and-schedule with unit clauses: each node's
+    tile (the empty clause if the tile is outside the node's domain),
+    its modulo slot, and, where the time lies in the node's
+    {!window}, its cycle.  The soundness property in
+    [test/test_mapper.ml] assumes every backend mapping and every
+    certify witness into the {!Wide} CNF at the mapping's II and
+    requires it to stay satisfiable. *)

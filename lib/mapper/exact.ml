@@ -27,183 +27,11 @@ type report = {
   clauses : int;
 }
 
-exception Found
-exception Budget
-
-(* Depth-first search over placements in topological order, routing
-   every edge to already-placed neighbours as we go (so infeasible
-   partial placements are pruned immediately). *)
-let feasible cgra g ~ii ~budget =
-  match Graph.intra_topological g with
-  | None -> `No
-  | Some order ->
-    let tiles = List.init (Cgra.tile_count cgra) (fun i -> i) in
-    let memory_tiles = Cgra.memory_tiles cgra in
-    (* Two modulo periods plus the mesh diameter past the earliest
-       start.  One period alone is not enough: a later slot in the
-       same congruence class leaves more room for routing detours, so
-       truncating at [est + ii - 1] falsely rules out low IIs on
-       fabrics where routes contend. *)
-    let horizon ~est ii =
-      est + (2 * ii) - 1 + (cgra.Cgra.rows - 1) + (cgra.Cgra.cols - 1)
-    in
-    let mrrg = Mrrg.create cgra ~ii in
-    let placements : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-    let attempts = ref 0 in
-    let slack = Mapping.edge_slack g ~ii in
-    (* time window for [node] on [tile] given current placements;
-       [anchored] records whether any placed neighbour constrained it *)
-    let window node tile =
-      let est = ref 0 and lst = ref max_int and anchored = ref false in
-      List.iter
-        (fun (e : Graph.edge) ->
-          match Hashtbl.find_opt placements e.src with
-          | Some (src_tile, src_time) ->
-            let d = Cgra.manhattan cgra src_tile tile in
-            est := max !est (src_time + d + 1 - slack e);
-            anchored := true
-          | None -> ())
-        (Graph.predecessors g node);
-      List.iter
-        (fun (e : Graph.edge) ->
-          match Hashtbl.find_opt placements e.dst with
-          | Some (dst_tile, dst_time) ->
-            let d = Cgra.manhattan cgra tile dst_tile in
-            lst := min !lst (dst_time + slack e - d - 1);
-            anchored := true
-          | None -> ())
-        (Graph.successors g node);
-      (max 0 !est, !lst, !anchored)
-    in
-    let has_carried_pred node =
-      List.exists
-        (fun (e : Graph.edge) -> e.distance > 0)
-        (Graph.predecessors g node)
-    in
-    let scratch = Router.create_scratch () in
-    let route_incident node tile time =
-      let routed = ref [] in
-      let undo () =
-        List.iter (fun (hops, e) -> Router.release mrrg hops e) !routed
-      in
-      let one (e : Graph.edge) ~src_tile ~src_time ~dst_tile ~dst_time =
-        let deadline = dst_time + slack e - 1 in
-        if src_tile = dst_tile then deadline >= src_time
-        else
-          match Router.route ~scratch mrrg ~edge:e ~src_tile ~src_time ~dst_tile ~deadline with
-          | Ok (hops, _) ->
-            routed := (hops, e) :: !routed;
-            true
-          | Error _ -> false
-      in
-      let ok =
-        List.for_all
-          (fun (e : Graph.edge) ->
-            match Hashtbl.find_opt placements e.src with
-            | None -> true
-            | Some (src_tile, src_time) ->
-              one e ~src_tile ~src_time ~dst_tile:tile ~dst_time:time)
-          (Graph.predecessors g node)
-        && List.for_all
-             (fun (e : Graph.edge) ->
-               match Hashtbl.find_opt placements e.dst with
-               | None -> true
-               | Some (dst_tile, dst_time) ->
-                 one e ~src_tile:tile ~src_time:time ~dst_tile ~dst_time)
-             (Graph.successors g node)
-      in
-      if ok then `Routed !routed
-      else begin
-        undo ();
-        `Failed
-      end
-    in
-    let rec search = function
-      | [] -> raise Found
-      | node :: rest ->
-        let op = (Graph.node g node).op in
-        let eligible =
-          if Op.needs_memory op then memory_tiles else tiles
-        in
-        List.iter
-          (fun tile ->
-            let est, lst, anchored = window node tile in
-            (* An unanchored node with no carried in-edge can be
-               shift-normalised: moving it a whole period earlier
-               keeps the same modulo resource footprint and only
-               relaxes its (future) neighbours' constraints, so one
-               period of start times is exhaustive.  Anchored nodes
-               need the wider horizon: a later slot in the same
-               congruence class buys routing-deadline headroom. *)
-            let upper =
-              if anchored || has_carried_pred node then
-                min (horizon ~est ii) lst
-              else min (est + ii - 1) lst
-            in
-            let rec times t =
-              if t > upper then ()
-              else begin
-                incr attempts;
-                if !attempts > budget then raise Budget;
-                if Mrrg.is_free mrrg ~tile ~time:t Mrrg.Fu then begin
-                  (match Mrrg.reserve mrrg ~tile ~time:t Mrrg.Fu (Mrrg.Op_node node) with
-                  | Error _ -> ()
-                  | Ok () ->
-                    (match route_incident node tile t with
-                    | `Routed routed ->
-                      Hashtbl.replace placements node (tile, t);
-                      search rest;
-                      Hashtbl.remove placements node;
-                      List.iter (fun (hops, e) -> Router.release mrrg hops e) routed
-                    | `Failed -> ());
-                    Mrrg.release mrrg ~tile ~time:t Mrrg.Fu)
-                end;
-                times (t + 1)
-              end
-            in
-            times est)
-          eligible
-    in
-    (try
-       search order;
-       `No
-     with
-    | Found -> `Yes
-    | Budget -> `Budget)
-
 let verdict_of ~first_undecided ~feasible_at =
   match (first_undecided, feasible_at) with
   | None, Some ii -> Optimal ii
   | None, None -> Infeasible
   | Some k, fa -> Unknown { first_undecided = k; feasible_at = fa }
-
-let minimal_ii ?(max_ii = 16) ?(budget = 200_000) cgra g =
-  match Graph.validate g with
-  | Error _ -> Infeasible
-  | Ok () ->
-    if Graph.node_count g = 0 then Infeasible
-    else begin
-      let start = Analysis.min_ii g ~tiles:(Cgra.tile_count cgra) in
-      let rec try_ii ii first_undecided =
-        if ii > max_ii then verdict_of ~first_undecided ~feasible_at:None
-        else
-          match feasible cgra g ~ii ~budget with
-          | `Yes ->
-            (* A mapping exists at [ii], but if a lower II ran out of
-               budget its infeasibility was never proven, so claiming
-               optimality here would be unsound. *)
-            verdict_of ~first_undecided ~feasible_at:(Some ii)
-          | `No -> try_ii (ii + 1) first_undecided
-          | `Budget ->
-            try_ii (ii + 1)
-              (match first_undecided with None -> Some ii | some -> some)
-      in
-      try_ii start None
-    end
-
-(* ------------------------------------------------------------------ *)
-(* SAT-backed certification                                           *)
-(* ------------------------------------------------------------------ *)
 
 (* Realize a decoded placement-and-schedule as a full mapping by
    reserving FUs and routing every cross-tile edge with the real

@@ -1,35 +1,35 @@
-(** Exact minimal-II oracles for small DFGs.
+(** The exact minimal-II oracle for small DFGs.
 
     The paper contrasts its two-step heuristic against ILP-based
-    mapping (CGRA-ME), which finds optimal IIs but takes hours.  This
-    module plays that reference role twice over:
+    mapping (CGRA-ME), which finds optimal IIs but takes hours.
+    {!certify} plays that reference role with SAT: per candidate II it
+    clausifies the {!Encode} relaxation, runs the {!Iced_sat} CDCL
+    solver under a conflict budget, routes each model with the real
+    {!Router} (blocking unroutable placements, CEGAR-style), and
+    returns a {!Validate.check}-clean witness mapping at the first
+    feasible II.  Each II is tried first over {!Encode.Narrow}
+    windows, which only look for a witness, and, unless one routes and
+    validates, over {!Encode.Wide} windows, whose outcome is final.
+    An [Unsat] answer of the wide CNF is a proof of infeasibility at
+    that II, so [Optimal] verdicts are certificates: the tests check
+    the wide CNF's soundness by assuming every backend mapping and
+    witness into it ({!Encode.assume}).
 
-    - {!minimal_ii} is the legacy enumerative branch-and-bound —
-      depth-first placement in topological order with full routing at
-      every step, within a placement-attempt budget;
-    - {!certify} is the SAT-backed oracle: per candidate II it
-      clausifies the {!Encode} relaxation, runs the {!Iced_sat} CDCL
-      solver under a conflict budget, routes each model with the real
-      {!Router} (blocking unroutable placements, CEGAR-style), and
-      returns a {!Validate.check}-clean witness mapping at the first
-      feasible II.  Each II is tried first over {!Encode.Narrow}
-      windows, which only look for a witness, and, unless one routes
-      and validates, over {!Encode.Wide} windows, whose outcome is
-      final.  An [Unsat] answer of the wide CNF is a proof of
-      infeasibility at that II, so [Optimal] verdicts are
-      certificates.
-
-    Both report through the same {!verdict}: [Optimal] only when every
-    lower II was refuted outright; if any lower II ran out of budget
-    the answer is [Unknown] carrying the first such II, never a
-    spurious [Optimal]. *)
+    The {!verdict} is [Optimal] only when every lower II was refuted
+    outright; if any lower II ran out of budget the answer is
+    [Unknown] carrying the first such II, never a spurious
+    [Optimal]. *)
 
 open Iced_arch
 open Iced_dfg
 
 type verdict =
   | Optimal of int  (** the smallest feasible II, every lower II refuted *)
-  | Infeasible  (** every II up to [max_ii] refuted *)
+  | Infeasible
+      (** every II from [start_ii] up to [max_ii] refuted.  When
+          [start_ii > max_ii] no II is tried: the report has
+          [per_ii = []] and no solver work, and the verdict says only
+          that [max_ii] lies below the lower bound *)
   | Unknown of { first_undecided : int; feasible_at : int option }
       (** the budget ran out at II [first_undecided] before deciding
           it; [feasible_at] is the smallest II above it where a mapping
@@ -38,7 +38,7 @@ type verdict =
           also ran out of [max_ii] without finding one *)
 
 type ii_outcome =
-  | Ii_feasible  (** a mapping was found (and, for {!certify}, routed) *)
+  | Ii_feasible  (** a mapping was found, routed and validated *)
   | Ii_refuted  (** proven infeasible at this II *)
   | Ii_budget  (** undecided: the search budget ran out *)
 
@@ -62,12 +62,6 @@ type report = {
 (** The solver counters and [route_blocks] are summed over both stages
     of every II tried; [vars] and [clauses] are a maximum over all the
     encodings built. *)
-
-val minimal_ii :
-  ?max_ii:int -> ?budget:int -> Cgra.t -> Graph.t -> verdict
-(** Legacy branch-and-bound.  [max_ii] defaults to 16; [budget]
-    (placement attempts per II) defaults to 200_000.  Intended for
-    DFGs of at most ~10 nodes. *)
 
 val certify :
   ?max_ii:int ->
