@@ -82,6 +82,9 @@ let checked_int ~expected ok =
 
 let positive_int = checked_int ~expected:"an integer >= 1" (fun n -> n >= 1)
 
+(* seeds and counts that may be zero: the spelling is the only rule *)
+let natural = int_conv ~expected:"an integer >= 0" (fun _ -> None)
+
 (* a fault campaign's counts are admitted by the campaign's own rule *)
 let campaign_count count =
   int_conv ~expected:"a plain decimal integer" (Iced_campaign.Campaign.count_error count)
@@ -277,18 +280,18 @@ let map_cmd = Cmd.v (Cmd.info "map" ~doc:map_doc) Term.(map_term $ const ())
 (* certify: SAT-backed exact minimal-II oracle                         *)
 
 let max_ii_arg =
-  Arg.(value & opt int 16 & info [ "max-ii" ] ~docv:"N"
+  Arg.(value & opt positive_int 16 & info [ "max-ii" ] ~docv:"N"
          ~doc:"Stop iterating at this II; reaching it undecided yields an \
                unknown verdict.")
 
 let budget_conflicts_arg =
-  Arg.(value & opt int 100_000 & info [ "budget-conflicts" ] ~docv:"N"
+  Arg.(value & opt natural 100_000 & info [ "budget-conflicts" ] ~docv:"N"
          ~doc:"CDCL conflict budget per candidate II and stage (narrow \
                windows first, then the wide CNF that refutes), shared \
                across that stage's CEGAR re-solves.")
 
 let seed_arg =
-  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"
+  Arg.(value & opt natural 0 & info [ "seed" ] ~docv:"N"
          ~doc:"Solver decision seed.  The whole report is a deterministic \
                function of kernel, fabric, budget and seed.")
 
@@ -345,6 +348,11 @@ let certify_term =
       (match report.Exact.verdict with
       | Exact.Optimal ii ->
         Printf.printf "verdict: optimal II = %d (every lower II refuted)\n" ii
+      | Exact.Infeasible when report.Exact.start_ii > report.Exact.max_ii ->
+        Printf.printf
+          "verdict: infeasible up to II %d (no II tried: the lower bound %d exceeds \
+           --max-ii)\n"
+          report.Exact.max_ii report.Exact.start_ii
       | Exact.Infeasible ->
         Printf.printf "verdict: infeasible up to II %d\n" report.Exact.max_ii
       | Exact.Unknown { first_undecided; feasible_at } ->
@@ -495,7 +503,7 @@ let explore_term =
              ~doc:"Island shapes to sweep; default: every shape tiling each fabric.")
   in
   let banks_arg =
-    Arg.(value & opt (list int) [ 8 ]
+    Arg.(value & opt (list natural) [ 8 ]
          & info [ "banks" ] ~docv:"N,..." ~doc:"SPM bank counts to sweep.")
   in
   let floors_arg =
@@ -505,11 +513,11 @@ let explore_term =
                    relax, normal.")
   in
   let unrolls_arg =
-    Arg.(value & opt (list int) [ 1 ]
+    Arg.(value & opt (list natural) [ 1 ]
          & info [ "unrolls" ] ~docv:"N,..." ~doc:"Unroll factors to sweep (1 and/or 2).")
   in
   let max_iis_arg =
-    Arg.(value & opt (list int) [ 64 ]
+    Arg.(value & opt (list natural) [ 64 ]
          & info [ "max-ii" ] ~docv:"N,..." ~doc:"Mapper II caps to sweep.")
   in
   let kernels_arg =
@@ -518,15 +526,15 @@ let explore_term =
              ~doc:"Kernels to evaluate; default: the ten standalone Table I kernels.")
   in
   let sample_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "sample" ] ~docv:"N"
              ~doc:"Evaluate a deterministic N-point subsample of the space.")
   in
   let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Sampling seed.")
+    Arg.(value & opt natural 42 & info [ "seed" ] ~docv:"S" ~doc:"Sampling seed.")
   in
   let workers_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "workers" ] ~docv:"N" ~doc:"Evaluation domains (1 = serial).")
   in
   let timeout_arg =
@@ -693,7 +701,7 @@ let fault_term =
          & info [ "window" ] ~docv:"N" ~doc:"Runner observation window.")
   in
   let workers_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "workers" ] ~docv:"N"
              ~doc:"Campaign domains (1 = serial); results are identical for any N.")
   in
@@ -782,11 +790,11 @@ let report_cmd = Cmd.v (Cmd.info "report" ~doc:report_doc) Term.(report_term $ c
 
 let serve_term =
   let workers_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt positive_int 2
          & info [ "workers" ] ~docv:"N" ~doc:"Evaluation domains in the worker pool.")
   in
   let depth_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive_int 64
          & info [ "queue-depth" ] ~docv:"N"
              ~doc:"Admission-control bound: requests past this queue depth are shed \
                    with a structured overloaded reply instead of waiting.")
@@ -814,13 +822,13 @@ let serve_term =
                    compare the daemon against.")
   in
   let restart_budget_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt natural 8
          & info [ "restart-budget" ] ~docv:"N"
              ~doc:"Worker-domain deaths the supervisor absorbs (restarting the \
                    worker) before retiring workers and failing queued requests.")
   in
   let default_deadline_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some natural) None
          & info [ "default-deadline-ms" ] ~docv:"MS"
              ~doc:"Deadline applied to requests that carry no deadline_ms of their \
                    own; expired requests answer status \"timeout\".")
@@ -893,18 +901,18 @@ let tenancy_inputs_arg =
        & info [ "inputs" ] ~docv:"N" ~doc:"Inputs per tenant stream.")
 
 let tenancy_seed_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt natural 1
        & info [ "seed" ] ~docv:"SEED"
            ~doc:"Workload seed; equal seeds give byte-identical fleets and reports.")
 
 let tenancy_faults_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt natural 0
        & info [ "faults" ] ~docv:"N"
            ~doc:"Island-regulator failures to inject across the run (cross-tenant \
                  reallocation exercises).")
 
 let tenancy_fault_seed_arg =
-  Arg.(value & opt int 7 & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Fault-event seed.")
+  Arg.(value & opt natural 7 & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Fault-event seed.")
 
 let tenancy_json_arg =
   Arg.(value & opt (some string) None
@@ -970,7 +978,7 @@ let tenant_sweep_term =
              ~doc:"Arbitration policies to sweep (cells are policy x fraction).")
   in
   let workers_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int 1
          & info [ "workers" ] ~docv:"N"
              ~doc:"Sweep-cell worker domains; results are byte-identical at any count.")
   in
