@@ -16,7 +16,9 @@
    - design/fir: Design.evaluate on fir (default 6x6 ICED flow);
    - map/gemm/sa and map/fir/pathfinder: Mapper.map with a non-default
      backend on the 6x6 fabric;
-   - certify/fir: Exact.certify on the 6x6 fabric;
+   - certify/fir: Exact.certify on the 6x6 fabric, where the default
+     backend's mapping at the lower bound decides it: its mapper spans
+     nest inside exact:certify and no CNF is built;
    - resilient/lu/remap: Runner.run_resilient on 30 lu inputs with a
      dead tile at input 13 and remap recovery;
    - tenancy/3/capped: a 3-tenant fair-share Scheduler.run at 0.55 x
