@@ -4,8 +4,6 @@
    Usage:
      bench/main.exe                 run every experiment
      bench/main.exe fig9 fig11      run a subset
-     bench/main.exe perf            Bechamel micro-benchmarks (one
-                                    Test.make per table/figure)
 
    Absolute numbers come from this repository's analytical models; the
    paper-facing claim is the *shape* (who wins, by what factor) —
@@ -523,86 +521,6 @@ let explore () =
     stats.Sweep.pairs stats.Sweep.failed
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure, timing   *)
-(* each experiment's core computation.                                 *)
-
-let perf () =
-  let open Bechamel in
-  let fir = Option.get (Registry.by_name "fir") in
-  let fft = Option.get (Registry.by_name "fft") in
-  let map_kernel strategy (k : Kernel.t) () =
-    let req = Iced_mapper.Mapper.request ~strategy Cgra.iced_6x6 in
-    ignore (Iced_mapper.Mapper.map req k.dfg)
-  in
-  let gcn_partition, gcn_inputs = stream_setup Iced_stream.App.Gcn in
-  let gcn_window = List.filteri (fun i _ -> i < 20) gcn_inputs in
-  let cases =
-    [ ( "table1_stats",
-        fun () -> List.iter (fun (k : Kernel.t) -> ignore (Kernel.stats k.dfg)) Registry.all );
-      ("fig2_map_baseline", map_kernel Iced_mapper.Mapper.Conventional fir);
-      ( "fig4_committed_map",
-        fun () ->
-          let cgra = Cgra.make ~rows:8 ~cols:8 () in
-          let req =
-            Iced_mapper.Mapper.request ~strategy:Iced_mapper.Mapper.Dvfs_aware
-              ~commit_islands:true cgra
-          in
-          ignore (Iced_mapper.Mapper.map req fir.dfg) );
-      ( "fig8_power_model",
-        fun () ->
-          let params = Iced_power.Params.default in
-          ignore (Iced_power.Model.area_mm2 params Iced_power.Model.Iced Cgra.iced_6x6) );
-      ("fig9_map_iced", map_kernel Iced_mapper.Mapper.Dvfs_aware fir);
-      ( "fig10_levels_assign",
-        fun () ->
-          match
-            Iced_mapper.Mapper.map (Iced_mapper.Mapper.request Cgra.iced_6x6) fir.dfg
-          with
-          | Ok m -> ignore (Iced_mapper.Levels.assign m)
-          | Error _ -> () );
-      ("fig11_full_evaluation", fun () -> ignore (Design.evaluate Design.Iced fir));
-      ( "fig12_map_large_fabric",
-        fun () ->
-          let cgra = Cgra.make ~rows:8 ~cols:8 () in
-          ignore (Iced_mapper.Mapper.map (Iced_mapper.Mapper.request cgra) fft.dfg) );
-      ( "fig13_stream_window",
-        fun () ->
-          ignore (Iced_stream.Runner.run gcn_partition Iced_stream.Runner.Iced_dvfs gcn_window)
-      );
-      ("fig14_fft_eval", fun () -> ignore (Design.evaluate Design.Iced fft)) ]
-  in
-  let tests =
-    Test.make_grouped ~name:"iced"
-      (List.map (fun (name, fn) -> Test.make ~name (Staged.stage fn)) cases)
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let t =
-    Table.create ~title:"Bechamel: experiment core computations" ~columns:[ "test"; "time" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let time =
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) ->
-          if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-          else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-          else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-          else Printf.sprintf "%.0f ns" est
-        | _ -> "-"
-      in
-      rows := (name, time) :: !rows)
-    results;
-  List.iter (fun (name, time) -> Table.add_row t [ name; time ]) (List.sort compare !rows);
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* Mapper engine benchmark: per-kernel mapping telemetry and the       *)
 (* router's steady-path allocation, written to BENCH_mapper.json (the  *)
 (* CI smoke job parses it).  ICED_BENCH_KERNELS=fir,fft filters the    *)
@@ -628,18 +546,18 @@ let mapper_bench () =
     (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
   in
   (* Steady-path router allocation: route and release the same edge
-     repeatedly through an otherwise-empty MRRG, once with a private
-     arena per call (the pre-arena engine's behavior) and once with a
-     shared arena.  Per-iteration byte delta isolates what one route
-     costs. *)
-  let bytes_per_route ~shared iterations =
+     repeatedly through an otherwise-empty MRRG and one arena, as a
+     mapping run shares its arena across routes.  Per-iteration byte
+     delta isolates what one route costs. *)
+  let iterations = 1000 in
+  let bytes_per_route =
     let mrrg = Iced_mrrg.Mrrg.create Cgra.iced_6x6 ~ii:8 in
     let edge = { Iced_dfg.Graph.src = 0; dst = 1; distance = 0 } in
-    let scratch = if shared then Some (Router.create_scratch ()) else None in
+    let scratch = Router.create_scratch () in
     let route () =
-      Router.route ?scratch mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:14 ~deadline:12
+      Router.route ~scratch mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:14 ~deadline:12
     in
-    (* warm up so the shared arena's buffers are grown before measuring *)
+    (* warm up so the arena's buffers are grown before measuring *)
     (match route () with Ok (hops, _) -> Router.release mrrg hops edge | Error _ -> ());
     let before = allocated_bytes () in
     for _ = 1 to iterations do
@@ -649,10 +567,6 @@ let mapper_bench () =
     done;
     (allocated_bytes () -. before) /. float_of_int iterations
   in
-  let iterations = 1000 in
-  let fresh_bytes = bytes_per_route ~shared:false iterations in
-  let shared_bytes = bytes_per_route ~shared:true iterations in
-  let reduction = fresh_bytes /. Float.max shared_bytes 1.0 in
   let t =
     Table.create ~title:"Mapper engine: per-kernel mapping cost (iced point, uf1, 6x6)"
       ~columns:
@@ -694,10 +608,7 @@ let mapper_bench () =
       selected
   in
   Table.print t;
-  Printf.printf
-    "router steady path: %.0f B/route with a fresh arena vs %.0f B/route shared \
-     (%.1fx less allocation)\n"
-    fresh_bytes shared_bytes reduction;
+  Printf.printf "router steady path: %.0f B/route through a shared arena\n" bytes_per_route;
   (* Backend shoot-out: the three placement/routing pairs on large
      seeded synthetic kernels over a 16x16 fabric, where greedy
      placement leaves II on the table.  Non-default backends are mapped
@@ -768,12 +679,10 @@ let mapper_bench () =
   Table.print st;
   write_json "BENCH_mapper.json"
     (J.Obj
-       [ ("schema", J.Str "iced-bench-mapper-v2");
+       [ ("schema", J.Str "iced-bench-mapper-v3");
          ( "router_alloc",
-           J.Obj
-             [ ("iterations", J.int iterations); ("fresh_bytes_per_route", J.Num fresh_bytes);
-               ("shared_bytes_per_route", J.Num shared_bytes);
-               ("reduction_factor", J.Num reduction) ] );
+           J.Obj [ ("iterations", J.int iterations); ("bytes_per_route", J.Num bytes_per_route) ]
+         );
          ("kernels", J.Arr kernel_rows); ("shootout", J.Arr shoot_rows) ]);
   Printf.printf "wrote BENCH_mapper.json (%d kernels)\n" (List.length kernel_rows)
 
@@ -825,122 +734,6 @@ let fault_injection () =
   match Iced_campaign.Campaign.run spec with
   | Error msg -> Printf.eprintf "campaign failed: %s\n" msg
   | Ok campaign -> print_string (Iced_campaign.Campaign.render campaign)
-
-(* ------------------------------------------------------------------ *)
-(* Serve: closed-loop load generator against an in-process daemon pool *)
-(* (BENCH_serve.json; the CI smoke job parses it).                     *)
-(* ICED_BENCH_SERVE_REQUESTS / _WORKERS override the defaults.         *)
-
-let serve_bench () =
-  let module Server = Iced_serve.Server in
-  let module Protocol = Iced_serve.Protocol in
-  let module Cache = Iced_explore.Cache in
-  let module Space = Iced_explore.Space in
-  let requests = getenv_int "ICED_BENCH_SERVE_REQUESTS" 2000 in
-  let workers = getenv_int "ICED_BENCH_SERVE_WORKERS" 4 in
-  let queue_depth = 256 in
-  (* request mix: ~90% map draws over a small point x kernel pool, so
-     most requests repeat an earlier one and exercise the dedup path;
-     the rest are pings threaded between the expensive work *)
-  let points =
-    [ Protocol.default_point;
-      { Protocol.default_point with Space.floor = Dvfs.Relax } ]
-  in
-  let kernel_names = List.map (fun (k : Kernel.t) -> k.name) kernels in
-  let rng = Iced_util.Rng.create 2026 in
-  let frames =
-    List.init requests (fun i ->
-        let id = Printf.sprintf "r%04d" i in
-        if Iced_util.Rng.int rng 10 = 0 then
-          { Protocol.id; request = Protocol.Ping; deadline_ms = None; tenant = None; qos = None }
-        else
-          let point = Iced_util.Rng.choose rng points in
-          let kernel = Iced_util.Rng.choose rng kernel_names in
-          { Protocol.id; request = Protocol.Map { point; kernel; backend = Iced_mapper.Backend.default }; deadline_ms = None; tenant = None; qos = None })
-  in
-  let cache = Cache.in_memory () in
-  let latencies = Array.make requests 0.0 in
-  let recorded = ref 0 in
-  let mu = Mutex.create () in
-  let advanced = Condition.create () in
-  let outstanding = ref 0 in
-  (* closed loop: enough concurrency to keep every worker busy without
-     ever tripping admission control *)
-  let window = workers * 4 in
-  let respond _line ~latency_s =
-    Mutex.lock mu;
-    latencies.(!recorded) <- latency_s;
-    incr recorded;
-    decr outstanding;
-    Condition.broadcast advanced;
-    Mutex.unlock mu
-  in
-  let server =
-    Server.create ~respond
-      { Server.workers; queue_depth; cache; restart_budget = 8;
-        default_deadline_ms = None }
-  in
-  let t0 = Clock.now () in
-  List.iter
-    (fun frame ->
-      Mutex.lock mu;
-      while !outstanding >= window do
-        Condition.wait advanced mu
-      done;
-      incr outstanding;
-      Mutex.unlock mu;
-      ignore (Server.submit server frame))
-    frames;
-  Server.shutdown server;
-  let wall_s = Clock.now () -. t0 in
-  let n = !recorded in
-  let lat = Array.sub latencies 0 n in
-  Array.sort compare lat;
-  let pct p =
-    if n = 0 then 0.0
-    else lat.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
-  let p50 = pct 0.5 and p99 = pct 0.99 in
-  let hits = Cache.hits cache and misses = Cache.misses cache in
-  let coalesced = Cache.coalesced cache in
-  let hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let throughput = float_of_int n /. wall_s in
-  let shed = Server.shed server in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "iced serve: %d requests, %d workers (closed loop, window %d)"
-           requests workers window)
-      ~columns:[ "metric"; "value" ]
-  in
-  List.iter
-    (fun (k, v) -> Table.add_row t [ k; v ])
-    [ ("responses", string_of_int n);
-      ("wall s", Printf.sprintf "%.2f" wall_s);
-      ("throughput rps", Printf.sprintf "%.0f" throughput);
-      ("p50 ms", Printf.sprintf "%.3f" (p50 *. 1e3));
-      ("p99 ms", Printf.sprintf "%.3f" (p99 *. 1e3));
-      ("cache hits", string_of_int hits);
-      ("cache misses", string_of_int misses);
-      ("coalesced", string_of_int coalesced);
-      ("dedup hit rate", Printf.sprintf "%.3f" hit_rate);
-      ("shed", string_of_int shed) ];
-  Table.print t;
-  write_json "BENCH_serve.json"
-    (J.Obj
-       [ ("schema", J.Str "iced-bench-serve-v1"); ("requests", J.int requests);
-         ("responses", J.int n); ("workers", J.int workers); ("queue_depth", J.int queue_depth);
-         ("window", J.int window); ("wall_s", J.Num wall_s); ("throughput_rps", J.Num throughput);
-         ("p50_ms", J.Num (p50 *. 1e3)); ("p99_ms", J.Num (p99 *. 1e3));
-         ( "dedup",
-           J.Obj
-             [ ("hits", J.int hits); ("misses", J.int misses); ("coalesced", J.int coalesced);
-               ("hit_rate", J.Num hit_rate) ] );
-         ("shed", J.int shed) ]);
-  Printf.printf "wrote BENCH_serve.json (%d responses)\n" n
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: seeded fault injection against a live forked daemon          *)
@@ -1531,9 +1324,9 @@ let tenancy_bench () =
 let experiments =
   [ ("table1", table1); ("fig2", fig2); ("fig4", fig4); ("fig8", fig8); ("fig9", fig9);
     ("fig10", fig10); ("fig11", fig11); ("fig12", fig12); ("fig13", fig13);
-    ("fig14", fig14); ("ablation", ablation); ("explore", explore); ("perf", perf);
-    ("mapper", mapper_bench); ("fault", fault_injection); ("serve", serve_bench);
-    ("chaos", chaos); ("exact", exact_bench); ("tenancy", tenancy_bench) ]
+    ("fig14", fig14); ("ablation", ablation); ("explore", explore);
+    ("mapper", mapper_bench); ("fault", fault_injection); ("chaos", chaos);
+    ("exact", exact_bench); ("tenancy", tenancy_bench) ]
 
 let () =
   let requested =

@@ -104,14 +104,6 @@ let evaluate ?(cgra = Cgra.iced_6x6) ?(unroll = 1) ?(label_floor = Dvfs.Rest)
         | Error msg -> [ ("error", Trace.Str msg) ])
       ~cat:"design" ~name:"evaluate" body
 
-let evaluate_exn ?cgra ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats ?trace
-    point kernel =
-  match
-    evaluate ?cgra ?unroll ?label_floor ?max_ii ?cancel ?backend ?stats ?trace point kernel
-  with
-  | Ok e -> e
-  | Error msg -> failwith ("Design.evaluate: " ^ msg)
-
 let functional_check (kernel : Iced_kernels.Kernel.t) mapping =
   let iterations = 25 in
   let result = Iced_sim.Sim.run ~binding:kernel.binding mapping ~iterations in

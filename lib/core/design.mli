@@ -66,21 +66,6 @@ val evaluate :
     [true]) suppresses all of them for this call without touching the
     global collector — tracing never changes the result either way. *)
 
-val evaluate_exn :
-  ?cgra:Cgra.t ->
-  ?unroll:int ->
-  ?label_floor:Dvfs.level ->
-  ?max_ii:int ->
-  ?cancel:(unit -> bool) ->
-  ?backend:Backend.t ->
-  ?stats:Mapper.stats ->
-  ?trace:bool ->
-  point ->
-  Iced_kernels.Kernel.t ->
-  evaluation
-(** Same as {!evaluate} but raising on failure.
-    @raise Failure when mapping fails. *)
-
 val functional_check : Iced_kernels.Kernel.t -> Mapping.t -> (unit, string) result
 (** Run the mapped schedule and the golden DFG interpreter on the
     kernel's data binding for 25 iterations and compare store

@@ -4,8 +4,6 @@ module Obs = Iced_obs.Trace
 module Rng = Iced_util.Rng
 open Engine
 
-let cost_wait = Cost.default.Cost.wait
-
 (* Cost charged per cycle by which an edge's deadline is infeasible
    (producer + distance cannot reach the consumer in time).  Large
    enough that annealing always prefers restoring feasibility over any
@@ -20,7 +18,7 @@ let deficit_cost = 5_000
    a steep penalty per missing cycle when the deadline is unmeetable. *)
 let edge_cost ~dist ~margin =
   if margin < 0 then (Router.hop_cost * dist) + (deficit_cost * -margin)
-  else (Router.hop_cost * dist) + (cost_wait * margin)
+  else (Router.hop_cost * dist) + (Cost.wait * margin)
 
 (* Total cost of [node]'s incident dependences with [node] at
    [(tile, time)] and every other endpoint at its current placement.

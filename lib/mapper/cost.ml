@@ -21,30 +21,15 @@ let all_knobs =
 
 (* Cost weights.  Routing dominates; DVFS terms bias island choice; the
    pack/spread term differentiates ICED from the conventional mapper. *)
-type model = {
-  wait : int;
-  over_provision : int;
-  open_island : int;
-  island_raise : int;
-  pack : int;
-  spread : int;
-  phase : int;
-  route_misphase : int;
-  route_open_island : int;
-}
-
-let default =
-  {
-    wait = 25;
-    over_provision = 150;
-    open_island = 250;
-    island_raise = 5000;
-    pack = 12;
-    spread = 100;
-    phase = 400;
-    route_misphase = 300;
-    route_open_island = 150;
-  }
+let wait = 25
+let over_provision = 150
+let open_island = 250
+let island_raise = 5000
+let pack = 12
+let spread = 100
+let phase = 400
+let route_misphase = 300
+let route_open_island = 150
 
 (* Congestion slack added to the anchor of dependent recurrence cycles
    (see [Estimate]).  Each II is attempted with every margin before the

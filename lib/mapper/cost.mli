@@ -21,25 +21,37 @@ type knobs = {
 val all_knobs : knobs
 (** Every feature on — the production configuration. *)
 
-type model = {
-  wait : int;  (** per slack cycle a value idles in bypass buffers *)
-  over_provision : int;
-      (** per level of island speed surplus over the node's label *)
-  open_island : int;  (** placing onto an island nothing uses yet *)
-  island_raise : int;
-      (** forcing an opened island above its tentative level *)
-  pack : int;  (** discount per busy slot for packable nodes *)
-  spread : int;
-      (** conventional load-balance pressure per busy slot *)
-  phase : int;  (** placement off a slowed island's clock phase *)
-  route_misphase : int;  (** route hop off a slowed island's phase *)
-  route_open_island : int;  (** route hop through an unopened island *)
-}
-(** Placement/routing cost weights.  Routing dominates ({!Router.hop_cost}
-    per hop); DVFS terms bias island choice. *)
+(** {2 Placement/routing cost weights}
 
-val default : model
-(** The tuned production weights. *)
+    Routing dominates ({!Router.hop_cost} per hop); DVFS terms bias
+    island choice.  The tuned production weights: *)
+
+val wait : int
+(** per slack cycle a value idles in bypass buffers *)
+
+val over_provision : int
+(** per level of island speed surplus over the node's label *)
+
+val open_island : int
+(** placing onto an island nothing uses yet *)
+
+val island_raise : int
+(** forcing an opened island above its tentative level *)
+
+val pack : int
+(** discount per busy slot for packable nodes *)
+
+val spread : int
+(** conventional load-balance pressure per busy slot *)
+
+val phase : int
+(** placement off a slowed island's clock phase *)
+
+val route_misphase : int
+(** route hop off a slowed island's phase *)
+
+val route_open_island : int
+(** route hop through an unopened island *)
 
 val asap_margins : int list
 (** Congestion-slack ladder for the schedule estimates: each II is

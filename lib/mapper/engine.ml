@@ -25,17 +25,6 @@ let request ?(strategy = Cost.Dvfs_aware) ?(backend = Backend.default) ?tiles
   { cgra; strategy; backend; tiles; label_floor; label_guard; max_ii; knobs; cancel;
     dead_tiles; dead_links; commit_islands }
 
-let weights = Cost.default
-let cost_wait = weights.Cost.wait
-let cost_over_provision = weights.Cost.over_provision
-let cost_open_island = weights.Cost.open_island
-let cost_island_raise = weights.Cost.island_raise
-let cost_pack = weights.Cost.pack
-let cost_spread = weights.Cost.spread
-let cost_phase = weights.Cost.phase
-let cost_route_misphase = weights.Cost.route_misphase
-let cost_route_open_island = weights.Cost.route_open_island
-
 (* A node's start window on one tile, as [time_window] leaves it. *)
 type window = { mutable est : int; mutable lst : int }
 
@@ -87,7 +76,7 @@ type state = {
   tiles : int list;
   memory_tiles : int list;
   ii : int;
-  labels : Dvfs.level array; (* node -> Algorithm 1 label *)
+  labels : Dvfs.level array; (* node -> Algorithm 1 label, [Normal] under Conventional *)
   estimate : Estimate.t;
   cycle_mates : int list array;
       (* node -> members of the longest recurrence cycle through it, [] off
@@ -99,7 +88,8 @@ type state = {
   place_tile : int array; (* node -> tile, -1 = unplaced *)
   place_time : int array; (* node -> start time, meaningful when placed *)
   mutable routes : Mapping.route list;
-  island_level : Dvfs.level option array; (* island -> tentative level, Dvfs_aware only *)
+  island_level : Dvfs.level option array;
+      (* island -> tentative level; only the DVFS-aware cost terms read it *)
   committed : (int, Dvfs.level) Hashtbl.t option; (* island -> level, commit mode *)
   scratch : Router.scratch; (* shared routing arena, one per mapping run *)
   candidates : candidates; (* the greedy placer's candidates, one per mapping run *)
@@ -143,10 +133,7 @@ let placements state =
 
 let edge_slack state e = Mapping.edge_slack state.dfg ~ii:state.ii e
 
-let label_of state node =
-  match state.req.strategy with
-  | Cost.Conventional -> Dvfs.Normal
-  | Cost.Dvfs_aware -> state.labels.(node)
+let label_of state node = state.labels.(node)
 
 let busy_count state tile = Mrrg.busy_slot_count state.mrrg ~tile
 
@@ -188,10 +175,8 @@ let island_phase state island m = Mrrg.island_phase state.mrrg ~island ~modulo:m
    meaningful when the multiplier divides the II, so [time] may be any
    time of its modulo slot. *)
 let phase_penalty state ~weight tile time =
-  match state.req.strategy with
-  | Cost.Conventional -> 0
-  | Cost.Dvfs_aware when not state.req.knobs.Cost.phase_alignment -> 0
-  | Cost.Dvfs_aware -> (
+  if not state.req.knobs.Cost.phase_alignment then 0
+  else
     let island = state.geometry.island.(tile) in
     match tentative_level state island with
     | None | Some Dvfs.Normal | Some Dvfs.Power_gated -> 0
@@ -201,7 +186,7 @@ let phase_penalty state ~weight tile time =
       else (
         match island_phase state island m with
         | `Empty | `Broken -> 0
-        | `Phase p -> if time mod m = p then 0 else weight))
+        | `Phase p -> if time mod m = p then 0 else weight)
 
 (* Router hop penalty: stay out of unopened islands (they could be
    power-gated) and respect slowed islands' phases. *)
@@ -210,8 +195,8 @@ let route_extra_cost state ~tile ~slot =
   | Cost.Conventional -> 0
   | Cost.Dvfs_aware -> (
     match tentative_level state state.geometry.island.(tile) with
-    | None -> cost_route_open_island
-    | Some _ -> phase_penalty state ~weight:cost_route_misphase tile slot)
+    | None -> Cost.route_open_island
+    | Some _ -> phase_penalty state ~weight:Cost.route_misphase tile slot)
 
 (* Append one neighbour to the scan arrays, doubling them when full. *)
 let add_neighbour c tile offset =
@@ -256,7 +241,7 @@ let scan state node =
 (* One pass over the scanned neighbours for [tile]: [hard], the latest
    producer arrival bound (at least 0); [lst], the earliest consumer
    deadline ([max_int] = none); and [route], the hop cost to every
-   neighbour minus [cost_wait] times the sum of the producers' bounds. *)
+   neighbour minus [Cost.wait] times the sum of the producers' bounds. *)
 let measure state tile =
   let c = state.candidates and geometry = state.geometry in
   let hard = ref 0 and lst = ref max_int and route = ref 0 in
@@ -264,7 +249,7 @@ let measure state tile =
     let dist = Cgra.hops geometry c.nb_tile.(i) tile in
     let bound = c.nb_offset.(i) + dist in
     if bound > !hard then hard := bound;
-    route := !route + (Router.hop_cost * dist) - (cost_wait * bound)
+    route := !route + (Router.hop_cost * dist) - (Cost.wait * bound)
   done;
   for i = c.producers to c.neighbours - 1 do
     let dist = Cgra.hops geometry tile c.nb_tile.(i) in
@@ -323,9 +308,9 @@ let time_window state node tile =
    router.  Within the window, placing the node on [tile] at [time]
    costs [base + slope * time + phase]:
    - [base] is every tile-only term: [measure]'s [route] (hop costs to
-     placed neighbours, [-cost_wait] times the producers' bounds) plus
+     placed neighbours, [-Cost.wait] times the producers' bounds) plus
      [tile_terms];
-   - [slope] is [cost_wait] per placed producer, whose wait is
+   - [slope] is [Cost.wait] per placed producer, whose wait is
      [time - bound].  The wait is never negative there: the window's
      earliest start is at least every producer's bound;
    - [phase] is the phase-alignment penalty, which depends on [time]
@@ -349,23 +334,23 @@ let tile_terms state ~label ~on_cycle ~unplaced tile =
          violated"), except for recurrence-cycle nodes, which must stay
          packed to close their cycles.  The scattering is what leaves
          per-tile DVFS so little to power-gate. *)
-      (if on_cycle then cost_pack else cost_spread) * busy
+      (if on_cycle then Cost.pack else Cost.spread) * busy
     | Cost.Dvfs_aware -> (
       (* Packing and phase alignment only matter for nodes that might
          run slowed; biasing critical (normal-labeled) nodes with them
          costs II for no DVFS benefit. *)
       let bias =
         if label = Dvfs.Normal || not state.req.knobs.Cost.packing then 0
-        else -cost_pack * busy
+        else -Cost.pack * busy
       in
       if not state.req.knobs.Cost.island_affinity then bias
       else
         match tentative_level state state.geometry.island.(tile) with
-        | None -> cost_open_island + bias
+        | None -> Cost.open_island + bias
         | Some assigned ->
           let surplus = Dvfs.rank assigned - Dvfs.rank label in
-          if surplus >= 0 then (cost_over_provision * surplus) + bias
-          else cost_island_raise + bias)
+          if surplus >= 0 then (Cost.over_provision * surplus) + bias
+          else Cost.island_raise + bias)
   in
   strategy_cost + capacity_penalty
 
@@ -393,12 +378,9 @@ let collect_candidates state node tiles =
   let mates = state.cycle_mates.(node) in
   let on_cycle = mates <> [] in
   let unplaced = List.fold_left (fun n m -> if is_placed state m then n else n + 1) 0 mates in
-  c.slope <- cost_wait * c.producers;
+  c.slope <- Cost.wait * c.producers;
   (* like packing, phase alignment biases only nodes that might run slowed *)
-  c.phased <-
-    (match state.req.strategy with
-    | Cost.Conventional -> false
-    | Cost.Dvfs_aware -> label <> Dvfs.Normal);
+  c.phased <- label <> Dvfs.Normal;
   Heap.clear c.heap;
   List.iter
     (fun tile ->
@@ -423,7 +405,7 @@ let expand state tile =
   let est = c.tile_est.(tile) and base = c.tile_base.(tile) in
   for time = est to c.tile_last.(tile) do
     if Mrrg.is_free state.mrrg ~tile ~time Mrrg.Fu then begin
-      let phase = if c.phased then phase_penalty state ~weight:cost_phase tile time else 0 in
+      let phase = if c.phased then phase_penalty state ~weight:Cost.phase tile time else 0 in
       Heap.push c.heap
         (((base + (c.slope * time) + phase) * span) + (tile * ii) + (time - est))
         ((time * tile_count) + tile)
@@ -528,16 +510,13 @@ let release_fu state tile time =
    nodes freely and rebuilds them once before routing). *)
 let rebuild_island_levels state =
   Array.fill state.island_level 0 (Array.length state.island_level) None;
-  match state.req.strategy with
-  | Cost.Conventional -> ()
-  | Cost.Dvfs_aware ->
-    List.iter
-      (fun node ->
-        if is_placed state node then
-          note_island state
-            (Cgra.island_of state.req.cgra state.place_tile.(node))
-            (label_of state node))
-      (Graph.node_ids state.dfg)
+  List.iter
+    (fun node ->
+      if is_placed state node then
+        note_island state
+          (Cgra.island_of state.req.cgra state.place_tile.(node))
+          (label_of state node))
+    (Graph.node_ids state.dfg)
 
 (* Every dependence of a complete placement in one deterministic order
    (ascending producer id, then the producer's successor-edge order). *)

@@ -81,7 +81,9 @@ type state = {
   tiles : int list;  (** placement tiles, ascending *)
   memory_tiles : int list;  (** the westmost column of [tiles], ascending *)
   ii : int;
-  labels : Dvfs.level array;  (** node -> Algorithm 1 label *)
+  labels : Dvfs.level array;
+      (** node -> Algorithm 1 label; every node [Normal] under the
+          conventional cost model *)
   estimate : Estimate.t;
   cycle_mates : int list array;
       (** node -> members of the longest recurrence cycle through it
@@ -98,7 +100,8 @@ type state = {
   place_time : int array;  (** node -> start time, read only when placed *)
   mutable routes : Mapping.route list;
   island_level : Dvfs.level option array;
-      (** island -> tentative level ([None] = not opened), Dvfs_aware only *)
+      (** island -> tentative level ([None] = not opened); only the
+          DVFS-aware cost terms read it *)
   committed : (int, Dvfs.level) Hashtbl.t option;  (** island -> level, commit mode *)
   scratch : Router.scratch;
   candidates : candidates;

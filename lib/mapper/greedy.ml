@@ -34,11 +34,7 @@ let place_node_untraced ~route state node =
       let exact = List.filter (fun tile -> committed_level state tile = Some label) tiles in
       if exact = [] then [ fallback ] else [ exact; fallback ]
   in
-  let note_island tile =
-    match state.req.strategy with
-    | Cost.Conventional -> ()
-    | Cost.Dvfs_aware -> note_island state (Cgra.island_of cgra tile) (label_of state node)
-  in
+  let note_island tile = note_island state (Cgra.island_of cgra tile) (label_of state node) in
   let try_tiles eligible_tiles =
     collect_candidates state node eligible_tiles;
     let max_attempts = 100 in

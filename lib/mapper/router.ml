@@ -111,7 +111,7 @@ let rec walk sc ~shift state acc =
     walk sc ~shift prev acc
   end
 
-let find_path ?scratch ?stats ~port_cost mrrg ~edge ~src_tile ~src_time ~dst_tile
+let find_path ~scratch:sc ?stats ~port_cost mrrg ~edge ~src_tile ~src_time ~dst_tile
     ~deadline =
   (match stats with
   | Some (s : Telemetry.t) -> s.route_calls <- s.route_calls + 1
@@ -122,7 +122,6 @@ let find_path ?scratch ?stats ~port_cost mrrg ~edge ~src_tile ~src_time ~dst_til
         (Printf.sprintf "edge n%d->n%d: deadline %d precedes producer time %d"
            edge.Graph.src edge.Graph.dst deadline src_time)
     else begin
-      let sc = match scratch with Some sc -> sc | None -> create_scratch () in
       (* Times never exceed the deadline (expansion stops there), so
          every reachable state fits below the bound [prepare] sizes. *)
       let { shift; geometry; _ } = prepare sc (Mrrg.cgra mrrg) ~deadline in
@@ -185,9 +184,8 @@ let release mrrg hops _edge =
     (fun (h : Mapping.hop) -> Mrrg.release mrrg ~tile:h.tile ~time:h.time (Mrrg.Port h.dir))
     hops
 
-let route ?(extra_cost = fun ~tile:_ ~slot:_ -> 0) ?(hop_width = fun _ -> 1) ?scratch
+let route ?(extra_cost = fun ~tile:_ ~slot:_ -> 0) ?(hop_width = fun _ -> 1) ~scratch:sc
     ?stats mrrg ~edge ~src_tile ~src_time ~dst_tile ~deadline =
-  let sc = match scratch with Some sc -> sc | None -> create_scratch () in
   sc.memo_tile <- -1;
   (* Occupancy pricing: a hop out of [tile] keeps its output port busy
      for hop_width(tile) slots on a slowed tile (capacity), but the

@@ -40,7 +40,7 @@ val geometry : scratch -> Iced_arch.Cgra.t -> Iced_arch.Cgra.geometry
 val route :
   ?extra_cost:(tile:int -> slot:int -> int) ->
   ?hop_width:(int -> int) ->
-  ?scratch:scratch ->
+  scratch:scratch ->
   ?stats:Telemetry.t ->
   Iced_mrrg.Mrrg.t ->
   edge:Graph.edge ->
@@ -65,12 +65,11 @@ val route :
     answer).  The hops are then reserved; a reservation conflict rolls
     them back and counts as a failure.
 
-    [scratch] reuses a search arena across calls (a private one is made
-    per call otherwise).  [stats] counts the call, its heap expansions,
-    and a failure if no route exists. *)
+    [scratch] is the search arena, shared across calls.  [stats] counts
+    the call, its heap expansions, and a failure if no route exists. *)
 
 val find_path :
-  ?scratch:scratch ->
+  scratch:scratch ->
   ?stats:Telemetry.t ->
   port_cost:(tile:int -> dir:Iced_arch.Dir.t -> slot:int -> int) ->
   Iced_mrrg.Mrrg.t ->

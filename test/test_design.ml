@@ -26,7 +26,11 @@ let test_evaluate_all_points () =
 
 let test_same_performance_across_points () =
   (* the headline claim: no performance loss for 2x2 islands *)
-  let ii point = (Design.evaluate_exn point fir).Design.ii in
+  let ii point =
+    match Design.evaluate point fir with
+    | Ok e -> e.Design.ii
+    | Error msg -> Alcotest.failf "evaluate %s: %s" (Design.point_to_string point) msg
+  in
   let baseline = ii Design.Baseline in
   List.iter
     (fun point ->
@@ -71,14 +75,17 @@ let test_headline_utilization_gain () =
     true (gain >= 1.5)
 
 let test_functional_check () =
-  let e = Design.evaluate_exn Design.Iced fir in
-  match Design.functional_check fir e.Design.mapping with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "functional check: %s" msg
+  match Design.evaluate Design.Iced fir with
+  | Error msg -> Alcotest.failf "evaluate: %s" msg
+  | Ok e -> (
+    match Design.functional_check fir e.Design.mapping with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "functional check: %s" msg)
 
 let test_unroll_evaluation () =
-  let e = Design.evaluate_exn ~unroll:2 Design.Iced fir in
-  Alcotest.(check int) "records the factor" 2 e.Design.unroll
+  match Design.evaluate ~unroll:2 Design.Iced fir with
+  | Ok e -> Alcotest.(check int) "records the factor" 2 e.Design.unroll
+  | Error msg -> Alcotest.failf "evaluate: %s" msg
 
 let suite =
   [

@@ -64,14 +64,16 @@ let test_labeling_invalid () =
 let test_router_same_tile () =
   let mrrg = Iced_mrrg.Mrrg.create cgra ~ii:4 in
   let edge = { Graph.src = 0; dst = 1; distance = 0 } in
-  match Router.route mrrg ~edge ~src_tile:3 ~src_time:0 ~dst_tile:3 ~deadline:2 with
+  let scratch = Router.create_scratch () in
+  match Router.route ~scratch mrrg ~edge ~src_tile:3 ~src_time:0 ~dst_tile:3 ~deadline:2 with
   | Ok (hops, _) -> Alcotest.(check int) "no hops" 0 (List.length hops)
   | Error e -> Alcotest.failf "route: %s" e
 
 let test_router_neighbor () =
   let mrrg = Iced_mrrg.Mrrg.create cgra ~ii:4 in
   let edge = { Graph.src = 0; dst = 1; distance = 0 } in
-  match Router.route mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:1 ~deadline:3 with
+  let scratch = Router.create_scratch () in
+  match Router.route ~scratch mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:1 ~deadline:3 with
   | Ok (hops, _) ->
     Alcotest.(check int) "one hop" 1 (List.length hops);
     let h = List.hd hops in
@@ -85,15 +87,17 @@ let test_router_neighbor () =
 let test_router_deadline_too_tight () =
   let mrrg = Iced_mrrg.Mrrg.create cgra ~ii:4 in
   let edge = { Graph.src = 0; dst = 1; distance = 0 } in
+  let scratch = Router.create_scratch () in
   (* corner to corner needs 10 hops; deadline 3 is impossible *)
-  match Router.route mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:35 ~deadline:3 with
+  match Router.route ~scratch mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:35 ~deadline:3 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "impossible route accepted"
 
 let test_router_failure_reserves_nothing () =
   let mrrg = Iced_mrrg.Mrrg.create cgra ~ii:4 in
   let edge = { Graph.src = 0; dst = 1; distance = 0 } in
-  ignore (Router.route mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:35 ~deadline:3);
+  let scratch = Router.create_scratch () in
+  ignore (Router.route ~scratch mrrg ~edge ~src_tile:0 ~src_time:0 ~dst_tile:35 ~deadline:3);
   List.iter
     (fun tile ->
       Alcotest.(check bool) "clean" true (Iced_mrrg.Mrrg.tile_is_idle mrrg tile))
@@ -130,6 +134,29 @@ let test_map_iced_matches_baseline_ii () =
         true
         (iced.Mapping.ii <= conv.Mapping.ii))
     Iced_kernels.Registry.standalone
+
+(* The conventional cost model reads no island geometry: only the
+   DVFS-aware terms price islands, so re-islanding the fabric 1x1 must
+   leave every conventional mapping as it is.  Table I's conventional
+   points (baseline, baseline+pg on 2x2 islands, per-tile dvfs+pg on
+   1x1) rest on this. *)
+let test_conventional_ignores_islands () =
+  let map fabric g = Mapper.map_exn (Mapper.request ~strategy:Mapper.Conventional fabric) g in
+  let placement = Alcotest.(list (pair int (pair int int))) in
+  List.iter
+    (fun (k : Iced_kernels.Kernel.t) ->
+      List.iter
+        (fun factor ->
+          let g = Iced_kernels.Kernel.dfg_at k ~factor in
+          let islands = map cgra g and tiles = map (Cgra.per_tile cgra) g in
+          let name = Printf.sprintf "%s uf%d" k.name factor in
+          Alcotest.(check int) (name ^ " II") islands.Mapping.ii tiles.Mapping.ii;
+          Alcotest.check placement (name ^ " placements") islands.Mapping.placements
+            tiles.Mapping.placements;
+          Alcotest.(check bool) (name ^ " routes") true
+            (islands.Mapping.routes = tiles.Mapping.routes))
+        [ 1; 2 ])
+    Iced_kernels.Registry.all
 
 let test_map_memory_constraint () =
   let m = map_kernel fir in
@@ -1332,4 +1359,6 @@ let suite =
     ("certify: no backend beats a verdict on seeded graphs", `Slow,
      test_certify_sound_on_synthetic);
     ("encode: assume pins a placement", `Quick, test_encode_assume);
+    ("mapper: the conventional cost model ignores island geometry", `Quick,
+     test_conventional_ignores_islands);
   ]
